@@ -63,10 +63,10 @@ service-smoke:
 failover-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --failover
 
-## end-to-end full-scale bench (sequential vs. parallel vs. pre-screen
-## off vs. snapshot warm-start, identity always asserted); regenerates
-## BENCH_fullscale.json and PROFILE_wildscan.json. Scale 1.0 takes
-## minutes — override with e.g. `make fullscale-smoke SCALE=0.05`
+## end-to-end full-scale bench (sequential vs. parallel vs. snapshot
+## warm-start, identity always asserted); regenerates BENCH_fullscale.json
+## and PROFILE_wildscan.json. Scale 1.0 takes about 5 minutes on 2 CPUs —
+## override with e.g. `make fullscale-smoke SCALE=0.05`
 SCALE ?= 1.0
 fullscale-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --fullscale --scale $(SCALE)

@@ -47,10 +47,10 @@ asserted — regenerating ``BENCH_service.json``::
     PYTHONPATH=src python benchmarks/run_smoke.py --service
 
 ``--fullscale`` runs the end-to-end full-scale bench (sequential vs.
-parallel vs. pre-screen-off vs. snapshot-warm-start, identity always
-asserted via the wire encoding), regenerating ``BENCH_fullscale.json``
-and ``PROFILE_wildscan.json``. The default ``--scale 1.0`` takes
-minutes; pass a smaller scale for a quick pass::
+parallel vs. snapshot-warm-start, identity always asserted via the wire
+encoding), regenerating ``BENCH_fullscale.json`` and
+``PROFILE_wildscan.json``. The default ``--scale 1.0`` takes minutes;
+pass a smaller scale for a quick pass::
 
     PYTHONPATH=src python benchmarks/run_smoke.py --fullscale
     PYTHONPATH=src python benchmarks/run_smoke.py --fullscale --scale 0.05
@@ -187,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fullscale", action="store_true",
                         help="bench the end-to-end scan (BENCH_fullscale.json "
                         "+ PROFILE_wildscan.json): sequential vs. parallel "
-                        "vs. pre-screen-off vs. warm-start, identity always "
-                        "asserted; defaults to --scale 1.0")
+                        "vs. warm-start, identity always asserted; "
+                        "defaults to --scale 1.0")
     parser.add_argument("--profile-out", type=Path, default=None,
                         help="fullscale only: stage-profile artifact path "
                         "(default PROFILE_wildscan.json)")

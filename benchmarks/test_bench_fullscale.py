@@ -2,10 +2,10 @@
 
 Exercises :func:`repro.engine.bench.run_fullscale_bench` at a small scale
 so the identity contracts it enforces (byte-identical detections across
-jobs counts, with/without the pre-screen, with/without snapshot
-warm-start) run on every ``make bench``. The artifact is written to a
-temp path — the canonical ``BENCH_fullscale.json`` at the repo root is
-the scale-1.0 run regenerated by ``make fullscale-smoke``.
+jobs counts and with/without snapshot warm-start) run on every
+``make bench``. The artifact is written to a temp path — the canonical
+``BENCH_fullscale.json`` at the repo root is the scale-1.0 run
+regenerated by ``make fullscale-smoke``.
 
 The speedup and latency budgets only arm with ``REPRO_BENCH_STRICT=1``
 *and* more than one effective CPU: a single-core runner cannot make the
@@ -50,7 +50,6 @@ def test_fullscale_identity_and_schema(tmp_path):
     detected = {run["detected"] for run in report["runs"]}
     assert len(detected) == 1, "jobs changed the detection count"
 
-    assert report["prescreen_off_run"]["identical"] is True
     warm = report["warm_start_run"]
     assert warm["identical"] is True
     assert warm["warm_starts"] > 0, (

@@ -635,22 +635,20 @@ def run_fullscale_bench(
 ) -> dict:
     """The end-to-end full-scale benchmark: scale-1.0 scans, all paths.
 
-    Four measured configurations over the same ``(seed, scale, shards)``:
+    Three measured configurations over the same ``(seed, scale, shards)``:
 
     1. **sequential** (``jobs=1``) — the reference run;
     2. **parallel** — one run per remaining ``jobs_values`` entry
        (default: the effective CPU count), chunk-submitted over the
        process pool;
-    3. **pre-screen off** — the fastest jobs value with ``prescreen=False``;
-    4. **warm-start** — a sequential rerun in the same process, so every
+    3. **warm-start** — a sequential rerun in the same process, so every
        shard build amortizes through the context-snapshot cache; this run
        also profiles (``profile=True``) and its merged stage profile is
        written to ``profile_path`` when given.
 
     The identity assertion is always on: every run's detections must be
     byte-identical (via the wire encoding) to the sequential reference —
-    across jobs counts, with/without pre-screen, with/without snapshot
-    warm-start. Wall-clock lands in the report only; speedup enforcement
+    across jobs counts and with/without snapshot warm-start. Wall-clock lands in the report only; speedup enforcement
     lives in ``benchmarks/test_bench_fullscale.py`` behind
     ``REPRO_BENCH_STRICT=1`` (a 1-CPU runner cannot beat sequential).
     """
@@ -710,7 +708,7 @@ def run_fullscale_bench(
             }
         )
         if jobs == 1:
-            # 4. warm start, measured while the sequential run's in-process
+            # 3. warm start, measured while the sequential run's in-process
             # snapshot cache is still hot (parallel runs build in worker
             # subprocesses, so the parent cache would be cold afterwards).
             # This run also profiles; the merged stage profile is the one
@@ -733,20 +731,6 @@ def run_fullscale_bench(
         fastest = min(parallel_runs, key=lambda run: run["elapsed_s"])
         if fastest["elapsed_s"]:
             speedup = round(sequential_elapsed / fastest["elapsed_s"], 2)
-        fastest_jobs = fastest["jobs"]
-    else:
-        fastest_jobs = 1
-
-    # 3. pre-screen off: the skip must be invisible in the result bytes.
-    clear_context_snapshots()
-    off_config = WildScanConfig(
-        scale=scale, seed=seed, jobs=fastest_jobs, shards=shards, prescreen=False
-    )
-    off_result, off_elapsed, _ = timed_run(off_config)
-    if fingerprint(off_result) != reference:
-        raise AssertionError(
-            "identity violation: disabling the pre-screen changed the detections"
-        )
 
     warm_counters = (warm_engine.profile or {}).get("counters", {})
 
@@ -761,11 +745,6 @@ def run_fullscale_bench(
         "detected": detected,
         "runs": runs,
         "speedup_best_parallel_vs_sequential": speedup,
-        "prescreen_off_run": {
-            "jobs": fastest_jobs,
-            "elapsed_s": round(off_elapsed, 4),
-            "identical": True,
-        },
         "warm_start_run": {
             "jobs": 1,
             "elapsed_s": round(warm_elapsed, 4),

@@ -44,7 +44,6 @@ __all__ = [
     "build_replay_context",
     "build_shard_context",
     "clear_context_snapshots",
-    "clear_tag_snapshots",
     "context_snapshot_for",
     "context_snapshot_stats",
     "detect_task",
@@ -56,7 +55,6 @@ __all__ = [
     "run_shard_batch",
     "set_context_snapshot_limit",
     "shard_chain_name",
-    "tag_snapshot_for",
 ]
 
 
@@ -107,10 +105,6 @@ class ShardContext:
     analyzer: object
     result: ShardResult
     rows: dict
-    #: optional :class:`~repro.leishen.prescreen.PreScreen` consulted by
-    #: :func:`detect_task` before full detection (``None`` when the
-    #: config disables screening or the context has no world).
-    prescreen: object = None
     #: optional :class:`~repro.runtime.profile.StageProfiler`; ``None``
     #: keeps the scan loop free of timing overhead.
     profiler: object = None
@@ -120,17 +114,15 @@ class ShardContext:
 class ShardContextSnapshot:
     """Everything needed to warm-start one shard-world build.
 
-    Extends the PR-5 tag-cache snapshot into a full context checkpoint:
-    the tagger's label-sync state, the pre-screen's harvested address
-    table, and the detector construction inputs recorded for validation.
-    The capsule is plain-dict/JSON-safe so the cluster coordinator can
-    ship it inside an assignment message and a cold worker can skip both
-    the label sync and the pre-screen harvest.
+    Carries the tagger's label-sync state and the detector construction
+    inputs recorded for validation. The capsule is plain-dict/JSON-safe
+    so the cluster coordinator can ship it inside an assignment message
+    and a cold worker can skip the label sync.
 
-    Both consumers re-validate against the chain they actually built
-    (version counters inside ``tag_snapshot``/``prescreen``), so a stale
-    or mismatched snapshot is silently ignored and can never change a
-    result byte — warm-starting is purely an amortization.
+    The tagger re-validates it against the chain it actually built
+    (version counters inside ``tag_snapshot``), so a stale or mismatched
+    snapshot is silently ignored and can never change a result byte —
+    warm-starting is purely an amortization.
     """
 
     #: the shard world's chain name — the snapshot's identity. The world
@@ -141,9 +133,6 @@ class ShardContextSnapshot:
     chain_name: str
     #: tagger label-sync state (:meth:`AccountTagger.label_sync_snapshot`).
     tag_snapshot: dict
-    #: pre-screen address table (:meth:`PreScreen.to_wire`), or ``None``
-    #: when the originating build ran with screening disabled.
-    prescreen: dict | None = None
     #: detector construction inputs at snapshot time, for validation and
     #: observability (never replayed into a build).
     build_params: dict = field(default_factory=dict)
@@ -152,7 +141,6 @@ class ShardContextSnapshot:
         return {
             "chain_name": self.chain_name,
             "tag_snapshot": self.tag_snapshot,
-            "prescreen": self.prescreen,
             "build_params": dict(self.build_params),
         }
 
@@ -166,14 +154,10 @@ class ShardContextSnapshot:
         tag_snapshot = payload.get("tag_snapshot")
         if not isinstance(chain_name, str) or not isinstance(tag_snapshot, dict):
             return None
-        prescreen = payload.get("prescreen")
-        if prescreen is not None and not isinstance(prescreen, dict):
-            prescreen = None
         build_params = payload.get("build_params")
         return cls(
             chain_name=chain_name,
             tag_snapshot=tag_snapshot,
-            prescreen=prescreen,
             build_params=dict(build_params) if isinstance(build_params, dict) else {},
         )
 
@@ -267,19 +251,13 @@ class SnapshotStore:
 #: Any rebuild of a same-named shard world in this process — bench
 #: repeats, in-process pool fallback, cluster requeues on a reused
 #: worker, *and* different seed/scale runs — warm-starts from the first
-#: build instead of re-scanning creations and labels. This store also
-#: holds the PR-5 tag-sync snapshots (they ride inside the context
-#: snapshot), so one LRU bound covers both.
+#: build instead of re-scanning creations and labels.
 _CONTEXT_SNAPSHOTS = SnapshotStore()
 
 
 def clear_context_snapshots() -> None:
     """Drop the process-level context-snapshot cache (test isolation)."""
     _CONTEXT_SNAPSHOTS.clear()
-
-
-#: Back-compat alias (PR-5 name; same cache, broader contents now).
-clear_tag_snapshots = clear_context_snapshots
 
 
 def set_context_snapshot_limit(max_entries: int) -> None:
@@ -309,37 +287,19 @@ def shard_chain_name(shard_index: int, shard_count: int) -> str:
     return _shard_profile(shard_index, shard_count).chain_name
 
 
-_shard_chain_name = shard_chain_name
-
-
 def context_snapshot_for(
     shard_index: int, shard_count: int
 ) -> ShardContextSnapshot | None:
     """The cached context snapshot for one shard build, if this process
     has built a world with that shard's chain name before (the cluster
     coordinator attaches it to assignments so workers warm-start)."""
-    return _CONTEXT_SNAPSHOTS.get(_shard_chain_name(shard_index, shard_count))
-
-
-def tag_snapshot_for(
-    seed: int, scale: float, shard_index: int, shard_count: int
-) -> dict | None:
-    """The cached tag-sync snapshot for one shard build (PR-5 API).
-
-    ``seed``/``scale`` are accepted for signature compatibility but do
-    not narrow the lookup: the world build consumes no RNG, so the
-    snapshot is valid for every seed/scale sharing the chain name.
-    """
-    del seed, scale  # not part of the build identity
-    snapshot = context_snapshot_for(shard_index, shard_count)
-    return snapshot.tag_snapshot if snapshot is not None else None
+    return _CONTEXT_SNAPSHOTS.get(shard_chain_name(shard_index, shard_count))
 
 
 def build_shard_context(
     cfg,
     shard_index: int,
     shard_count: int,
-    tag_snapshot: dict | None = None,
     context_snapshot: "ShardContextSnapshot | dict | None" = None,
 ) -> ShardContext:
     """Build one shard's world and detector stack from ``(cfg, shard)``.
@@ -348,17 +308,15 @@ def build_shard_context(
     what makes batch and streaming execution interchangeable.
 
     ``context_snapshot`` (a :class:`ShardContextSnapshot` or its wire
-    dict) warm-starts both the detector's account tagger and the flash
-    loan pre-screen; ``tag_snapshot`` is the narrower PR-5 form carrying
-    the tagger state only. Either kind is re-validated against the
-    freshly built chain and ignored on mismatch, so a stale snapshot can
-    never change the result. Builds also consult (and populate) the
-    process-level snapshot cache keyed by chain name, so repeated builds
-    of a same-named shard world skip the cold syncs automatically.
+    dict) warm-starts the detector's account tagger. It is re-validated
+    against the freshly built chain and ignored on mismatch, so a stale
+    snapshot can never change the result. Builds also consult (and
+    populate) the process-level snapshot cache keyed by chain name, so
+    repeated builds of a same-named shard world skip the cold sync
+    automatically.
     """
     # local imports keep worker startup lean under the spawn start method
     from ..leishen.heuristics import YieldAggregatorHeuristic
-    from ..leishen.prescreen import PreScreen
     from ..leishen.profit import ProfitAnalyzer
     from ..leishen.registry import enabled_pattern_keys
     from ..workload.attacks import WildAttackInjector
@@ -379,28 +337,15 @@ def build_shard_context(
         context_snapshot = _CONTEXT_SNAPSHOTS.get(chain_name)
     if context_snapshot is not None and context_snapshot.chain_name != chain_name:
         context_snapshot = None
-    if tag_snapshot is None and context_snapshot is not None:
-        tag_snapshot = context_snapshot.tag_snapshot
+    tag_snapshot = None if context_snapshot is None else context_snapshot.tag_snapshot
     if cfg.pattern_config is not None:
         detector = world.detector(patterns=cfg.pattern_config, tag_snapshot=tag_snapshot)
     else:
         detector = world.detector(tag_snapshot=tag_snapshot)
-    prescreen = None
-    if getattr(cfg, "prescreen", True):
-        snapshot_table = (
-            context_snapshot.prescreen if context_snapshot is not None else None
-        )
-        if snapshot_table is not None:
-            # from_wire validates the table's sync counters against the
-            # chain and cold-harvests on any mismatch.
-            prescreen = PreScreen.from_wire(snapshot_table, chain=world.chain)
-        else:
-            prescreen = PreScreen(world.chain)
     if chain_name not in _CONTEXT_SNAPSHOTS:
         _CONTEXT_SNAPSHOTS.put(chain_name, ShardContextSnapshot(
             chain_name=chain_name,
             tag_snapshot=detector.tagger.label_sync_snapshot(),
-            prescreen=prescreen.to_wire() if prescreen is not None else None,
             build_params={
                 "shard_count": shard_count,
                 "keep_history": bool(cfg.keep_history),
@@ -413,7 +358,7 @@ def build_shard_context(
 
         profiler = StageProfiler()
         profiler.add("build_context", perf_counter_ns() - started)
-        if tag_snapshot is not None or context_snapshot is not None:
+        if context_snapshot is not None:
             profiler.count("warm_starts")
         detector.profiler = profiler
     return ShardContext(
@@ -429,7 +374,6 @@ def build_shard_context(
             name: PatternRow(name)
             for name in enabled_pattern_keys(cfg.pattern_config)
         },
-        prescreen=prescreen,
         profiler=profiler,
     )
 
@@ -520,31 +464,13 @@ def execute_task(ctx: ShardContext, task: Task):
 def detect_task(ctx: ShardContext, labeled):
     """Run detection on one executed transaction, into the shard result.
 
-    Consults the shard's flash-loan pre-screen first: a transaction whose
-    raw trace provably contains no borrow skips tagging/simplification
-    entirely. Screening only rejects on necessary conditions of the
-    provider fingerprints, so the skip never changes a result byte.
-
     Returns the detector's :class:`~repro.leishen.report.AttackReport`
-    (``None`` when the transaction is screened out or not identified as
-    a flash loan). The shard result only ever records attacks; the
-    report return value is what lets the streaming engine's windowed
-    mode observe the simplified trades of *every* flash-loan transaction
-    without a second detector pass.
+    (``None`` when the transaction is not identified as a flash loan).
+    The shard result only ever records attacks; the report return value
+    is what lets the streaming engine's windowed mode observe the
+    simplified trades of *every* flash-loan transaction without a second
+    detector pass.
     """
-    prescreen = ctx.prescreen
-    if prescreen is not None:
-        prof = ctx.profiler
-        if prof is None:
-            if not prescreen.admits(labeled.trace):
-                return None
-        else:
-            started = perf_counter_ns()
-            admitted = prescreen.admits(labeled.trace)
-            prof.add("prescreen", perf_counter_ns() - started)
-            if not admitted:
-                prof.count("screened_out")
-                return None
     return detect_into(ctx.cfg, labeled, ctx.detector, ctx.heuristic,
                        ctx.analyzer, ctx.result.detections, ctx.rows)
 
@@ -558,11 +484,6 @@ def finalize_shard(ctx: ShardContext) -> ShardResult:
     if prof is not None:
         prof.count("transactions", ctx.result.total_transactions)
         prof.count("detections", len(ctx.result.detections))
-        prescreen = ctx.prescreen
-        if prescreen is not None:
-            prof.count("prescreen_admitted", prescreen.admitted)
-            prof.count("prescreen_screened", prescreen.screened)
-            prof.count("prescreen_fast_hits", prescreen.fast_hits)
         ctx.result.profile = prof.to_dict()
     return ctx.result
 
@@ -573,27 +494,12 @@ def run_shard(args: tuple) -> ShardResult:
     Module-level (not a method) so it pickles under every multiprocessing
     start method. The payload is ``(cfg, shard_index, shard_count,
     tasks)`` with an optional fifth element that warm-starts the build: a
-    full context-snapshot wire dict (distinguished by its ``chain_name``
-    key) or a bare PR-5 tag-sync snapshot. Either is ignored when it does
+    :class:`ShardContextSnapshot` or its wire dict, ignored when it does
     not match the freshly built chain.
     """
     cfg, shard_index, shard_count, tasks = args[:4]
-    snapshot = args[4] if len(args) > 4 else None
-    tag_snapshot = context_snapshot = None
-    if isinstance(snapshot, dict):
-        if "chain_name" in snapshot:
-            context_snapshot = snapshot
-        else:
-            tag_snapshot = snapshot
-    elif isinstance(snapshot, ShardContextSnapshot):
-        context_snapshot = snapshot
-    ctx = build_shard_context(
-        cfg,
-        shard_index,
-        shard_count,
-        tag_snapshot=tag_snapshot,
-        context_snapshot=context_snapshot,
-    )
+    context_snapshot = args[4] if len(args) > 4 else None
+    ctx = build_shard_context(cfg, shard_index, shard_count, context_snapshot)
     prof = ctx.profiler
     if prof is None:
         for task in tasks:

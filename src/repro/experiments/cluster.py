@@ -53,7 +53,6 @@ def run_local(
     max_workers: int | None = None,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
 ):
     """Coordinator + ``workers`` local workers; returns
@@ -70,9 +69,7 @@ def run_local(
     from ..cluster import run_cluster_scan
     from .scan import _maybe_compacting
 
-    config = WildScanConfig(
-        scale=scale, seed=seed, shards=shards, prescreen=prescreen, profile=profile
-    )
+    config = WildScanConfig(scale=scale, seed=seed, shards=shards, profile=profile)
     ledger = _maybe_compacting(ledger, config, compact_every)
     options = {}
     if heartbeat_timeout is not None:
@@ -129,7 +126,6 @@ def render_local(
     verify: bool = True,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
     profile_out=None,
 ) -> str:
@@ -139,8 +135,7 @@ def render_local(
         scale=scale, seed=seed, workers=workers, shards=shards,
         heartbeat_timeout=heartbeat_timeout,
         autoscale=autoscale, min_workers=min_workers, max_workers=max_workers,
-        ledger=ledger, compact_every=compact_every,
-        prescreen=prescreen, profile=profile,
+        ledger=ledger, compact_every=compact_every, profile=profile,
     )
     lines = _summary_lines(
         result, stats, elapsed, f"{stats.workers_seen} local worker(s)"
@@ -179,7 +174,6 @@ def render_serve(
     heartbeat_timeout: float | None = None,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
     profile_out=None,
 ) -> str:
@@ -187,9 +181,7 @@ def render_serve(
     from ..cluster import Coordinator
     from .scan import _maybe_compacting
 
-    config = WildScanConfig(
-        scale=scale, seed=seed, shards=shards, prescreen=prescreen, profile=profile
-    )
+    config = WildScanConfig(scale=scale, seed=seed, shards=shards, profile=profile)
     ledger = _maybe_compacting(ledger, config, compact_every)
     options = {}
     if heartbeat_timeout is not None:
@@ -232,7 +224,6 @@ def render_standby(
     port: int = 0,
     heartbeat_timeout: float | None = None,
     ledger=None,
-    prescreen: bool = True,
     profile: bool = False,
 ) -> str:
     """Hot-standby mode: follow the primary coordinator at ``primary``
@@ -244,9 +235,7 @@ def render_standby(
 
     if ledger is None:
         raise ValueError("--standby requires --ledger/--resume (the shared journal)")
-    config = WildScanConfig(
-        scale=scale, seed=seed, shards=shards, prescreen=prescreen, profile=profile
-    )
+    config = WildScanConfig(scale=scale, seed=seed, shards=shards, profile=profile)
     options = {}
     if heartbeat_timeout is not None:
         options["heartbeat_timeout"] = heartbeat_timeout

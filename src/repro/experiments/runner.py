@@ -33,7 +33,6 @@ def _run_one(
     block_size: int | None = None,
     ledger: str | None = None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
     profile_out: str | None = None,
     windowed: bool = False,
@@ -69,15 +68,13 @@ def _run_one(
     if name == "scan":
         return scan.render(
             scale=scale, jobs=jobs, shards=shards, ledger=ledger,
-            compact_every=compact_every,
-            prescreen=prescreen, profile=profile, profile_out=profile_out,
+            compact_every=compact_every, profile=profile, profile_out=profile_out,
         )
     if name == "stream":
         return stream.render(
             scale=scale, jobs=jobs, shards=shards,
             queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-            compact_every=compact_every,
-            prescreen=prescreen, profile=profile, profile_out=profile_out,
+            compact_every=compact_every, profile=profile, profile_out=profile_out,
             windowed=windowed, window_blocks=window_blocks,
             split_attacks=split_attacks,
         )
@@ -350,12 +347,6 @@ def main(argv: list[str] | None = None) -> int:
         "artifact at PATH (implies --profile; default "
         "PROFILE_wildscan.json when --profile is given alone)",
     )
-    parser.add_argument(
-        "--no-prescreen",
-        action="store_true",
-        help="scan/stream/cluster: disable the flash-loan pre-screen fast "
-        "path (results are byte-identical either way; for A/B timing)",
-    )
     args = parser.parse_args(argv)
     if args.experiment in _SERVICE_COMMANDS:
         if args.executors < 1:
@@ -440,10 +431,8 @@ def main(argv: list[str] | None = None) -> int:
         from ..runtime.profile import DEFAULT_PROFILE_ARTIFACT
 
         args.profile_out = DEFAULT_PROFILE_ARTIFACT
-    if (args.profile or args.no_prescreen) and args.experiment not in (
-        "scan", "stream", "cluster",
-    ):
-        parser.error("--profile/--no-prescreen only apply to scan, stream and cluster")
+    if args.profile and args.experiment not in ("scan", "stream", "cluster"):
+        parser.error("--profile only applies to scan, stream and cluster")
     scale = 1.0 if args.full else args.scale
 
     if args.experiment in _SERVICE_COMMANDS:
@@ -482,14 +471,14 @@ def main(argv: list[str] | None = None) -> int:
                 scale=scale, shards=args.shards, primary=args.standby,
                 host=args.host, port=args.port,
                 heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
-                prescreen=not args.no_prescreen, profile=args.profile,
+                profile=args.profile,
             )
         elif args.serve:
             output = cluster.render_serve(
                 scale=scale, shards=args.shards, host=args.host, port=args.port,
                 heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
                 compact_every=args.compact_every,
-                prescreen=not args.no_prescreen, profile=args.profile,
+                profile=args.profile,
                 profile_out=args.profile_out,
             )
         else:
@@ -500,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
                 max_workers=args.max_workers,
                 verify=not args.no_verify,
                 ledger=ledger, compact_every=args.compact_every,
-                prescreen=not args.no_prescreen, profile=args.profile,
+                profile=args.profile,
                 profile_out=args.profile_out,
             )
         print(f"=== cluster ({time.perf_counter() - start:.1f}s) ===")
@@ -515,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
             name, scale, jobs=args.jobs, shards=args.shards,
             queue_depth=args.queue_depth, block_size=args.block_size,
             ledger=ledger, compact_every=args.compact_every,
-            prescreen=not args.no_prescreen, profile=args.profile,
+            profile=args.profile,
             profile_out=args.profile_out,
             windowed=args.windowed, window_blocks=args.window_blocks,
             split_attacks=args.split_attacks,

@@ -40,7 +40,6 @@ def run(
     shards: int | None = None,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
 ):
     """Run the batch scan; returns ``(result, engine, elapsed_s)``.
@@ -50,15 +49,14 @@ def run(
     shards are skipped, so a killed run resumes where it left off.
     ``compact_every`` folds the journal into a snapshot record every N
     appended shards (``--compact-every``), keeping replay cost flat.
-    ``prescreen``/``profile`` are execution knobs only — neither changes
-    a result byte; a profiled run leaves the merged stage profile on
+    ``profile`` is an execution knob only — it never changes a result
+    byte; a profiled run leaves the merged stage profile on
     ``engine.profile``.
     """
     from ..engine import ScanEngine
 
     config = WildScanConfig(
-        scale=scale, seed=seed, jobs=jobs, shards=shards,
-        prescreen=prescreen, profile=profile,
+        scale=scale, seed=seed, jobs=jobs, shards=shards, profile=profile
     )
     ledger = _maybe_compacting(ledger, config, compact_every)
     engine = ScanEngine(config, ledger=ledger)
@@ -74,13 +72,12 @@ def render(
     shards: int | None = None,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
     profile_out=None,
 ) -> str:
     result, engine, elapsed = run(
         scale=scale, seed=seed, jobs=jobs, shards=shards, ledger=ledger,
-        compact_every=compact_every, prescreen=prescreen, profile=profile,
+        compact_every=compact_every, profile=profile,
     )
     txs_per_s = result.total_transactions / elapsed if elapsed else 0.0
     lines = [

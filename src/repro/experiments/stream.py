@@ -23,7 +23,6 @@ def run(
     block_size: int | None = None,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
     windowed: bool = False,
     window_blocks: int | None = None,
@@ -35,7 +34,7 @@ def run(
     return run_with_engine(
         scale=scale, seed=seed, jobs=jobs, shards=shards,
         queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-        compact_every=compact_every, prescreen=prescreen, profile=profile,
+        compact_every=compact_every, profile=profile,
         windowed=windowed, window_blocks=window_blocks,
         split_attacks=split_attacks,
     )[0]
@@ -50,7 +49,6 @@ def run_with_engine(
     block_size: int | None = None,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
     windowed: bool = False,
     window_blocks: int | None = None,
@@ -58,7 +56,7 @@ def run_with_engine(
 ) -> tuple[StreamResult, StreamEngine]:
     config = WildScanConfig(
         scale=scale, seed=seed, jobs=jobs, shards=shards,
-        prescreen=prescreen, profile=profile, split_attacks=split_attacks,
+        profile=profile, split_attacks=split_attacks,
     )
     from .scan import _maybe_compacting
 
@@ -82,7 +80,6 @@ def render(
     block_size: int | None = None,
     ledger=None,
     compact_every: int | None = None,
-    prescreen: bool = True,
     profile: bool = False,
     profile_out=None,
     windowed: bool = False,
@@ -92,7 +89,7 @@ def render(
     streamed, engine = run_with_engine(
         scale=scale, jobs=jobs, shards=shards,
         queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-        compact_every=compact_every, prescreen=prescreen, profile=profile,
+        compact_every=compact_every, profile=profile,
         windowed=windowed, window_blocks=window_blocks,
         split_attacks=split_attacks,
     )

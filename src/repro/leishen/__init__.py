@@ -6,7 +6,6 @@ from .heuristics import DEFAULT_AGGREGATOR_APPS, YieldAggregatorHeuristic
 from .identify import FlashLoan, FlashLoanIdentifier, PROVIDERS
 from .labels import LabelDatabase, app_name_of_label
 from .patterns import AttackPattern, PatternConfig, PatternMatch, PatternMatcher
-from .prescreen import BLOOM_THRESHOLD, AddressBloom, PreScreen
 from .profit import ProfitAnalyzer, ProfitBreakdown, profit_statistics
 from .registry import (
     ALL_PATTERN_KEYS,
@@ -25,13 +24,11 @@ from .trades import Trade, TradeIdentifier, TradeKind
 
 __all__ = [
     "AccountTagger",
-    "AddressBloom",
     "AppTransfer",
     "ALL_PATTERN_KEYS",
     "AttackPattern",
     "AttackReport",
     "BLACKHOLE_TAG",
-    "BLOOM_THRESHOLD",
     "DEFAULT_AGGREGATOR_APPS",
     "FlashLoan",
     "FlashLoanIdentifier",
@@ -46,7 +43,6 @@ __all__ = [
     "PatternConfig",
     "PatternMatch",
     "PatternMatcher",
-    "PreScreen",
     "REGISTRY_VERSION",
     "ProfitAnalyzer",
     "ProfitBreakdown",

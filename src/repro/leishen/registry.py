@@ -5,8 +5,7 @@ private methods on :class:`~repro.leishen.patterns.PatternMatcher`.
 They live here now as standalone plugin classes behind a small
 :class:`Pattern` protocol, so new families (sandwich/frontrunning,
 infinite-mint, donation-style share inflation) plug in beside them
-without touching the matcher, the windowed merger, the prescreen, or
-the baselines.
+without touching the matcher, the windowed merger, or the baselines.
 
 Identity model
 --------------

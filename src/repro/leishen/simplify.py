@@ -17,7 +17,7 @@ with three rules, applied in the paper's order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..chain.types import Address, ETHER
@@ -54,129 +54,12 @@ class SimplifierConfig:
 
 
 class TransferSimplifier:
-    """Applies the three rules and yields application-level transfers.
+    """Applies the three rules and yields application-level transfers."""
 
-    ``vectorize`` selects the execution path: ``True`` forces the numpy
-    kernels of :mod:`repro.leishen.lifting`, ``False`` the per-row object
-    path, and ``None`` (default) auto-dispatches on trace size — large
-    traces go vectorized, small ones keep the tuned loop. Both paths are
-    byte-equivalent (``tests/leishen/test_lifting.py``).
-    """
-
-    def __init__(
-        self,
-        config: SimplifierConfig | None = None,
-        *,
-        vectorize: bool | None = None,
-    ) -> None:
+    def __init__(self, config: SimplifierConfig | None = None) -> None:
         self.config = config or SimplifierConfig()
-        self.vectorize = vectorize
 
     def simplify(self, tagged: Sequence[TaggedTransfer]) -> list[AppTransfer]:
-        from .lifting import HAVE_NUMPY, VECTOR_MIN_ROWS
-
-        vectorize = self.vectorize
-        if vectorize is None:
-            vectorize = len(tagged) >= VECTOR_MIN_ROWS
-        if vectorize and HAVE_NUMPY:
-            return self._simplify_vector(tagged)
-        return self._simplify_rows(tagged)
-
-    def simplify_batch(
-        self, batches: Sequence[Sequence[TaggedTransfer]]
-    ) -> list[list[AppTransfer]]:
-        """Simplify many transactions' transfer batches in one pass.
-
-        The kernels operate on the concatenated rows of all batches at
-        once (the vector path's native shape — one interning pass, one
-        rule-mask evaluation), then slice the survivors back per
-        transaction; the merge fixpoint can never cross a transaction
-        boundary because each span is merged on its own. Results are
-        identical to calling :meth:`simplify` per batch.
-        """
-        from .lifting import HAVE_NUMPY, VECTOR_MIN_ROWS
-
-        total = sum(len(batch) for batch in batches)
-        vectorize = self.vectorize
-        if vectorize is None:
-            vectorize = total >= VECTOR_MIN_ROWS
-        if not (vectorize and HAVE_NUMPY):
-            return [self._simplify_rows(batch) for batch in batches]
-        flat: list[TaggedTransfer] = []
-        spans: list[tuple[int, int]] = []
-        for batch in batches:
-            start = len(flat)
-            flat.extend(batch)
-            spans.append((start, len(flat)))
-        return self._simplify_vector_spans(flat, spans)
-
-    def _simplify_vector(self, tagged: Sequence[TaggedTransfer]) -> list[AppTransfer]:
-        return self._simplify_vector_spans(list(tagged), [(0, len(tagged))])[0]
-
-    def _simplify_vector_spans(
-        self, rows: list[TaggedTransfer], spans: list[tuple[int, int]]
-    ) -> list[list[AppTransfer]]:
-        """Vector core: rules 1+2 as array masks over interned codes, the
-        rule 3 fixpoint gated behind a vectorized candidate pre-check.
-
-        Amounts never enter an array (token amounts overflow int64); the
-        only amount-sensitive comparison (merge tolerance) runs in the
-        unchanged object-path fixpoint, and only for spans whose integer
-        conditions admit at least one adjacent merge candidate.
-        """
-        import numpy as np
-
-        from .lifting import (
-            TagInterner,
-            keep_mask,
-            lift_codes,
-            merge_candidates_exist,
-        )
-
-        cfg = self.config
-        interner = TagInterner()
-        senders, receivers, tokens = lift_codes(
-            [(t.tag_sender, t.tag_receiver, t.token) for t in rows], interner
-        )
-        weth_code = interner.code_of(cfg.weth_tag) if cfg.remove_weth else None
-        keep = keep_mask(
-            senders, receivers, remove_intra=cfg.remove_intra_app, weth_code=weth_code
-        )
-        # rule 2's token unification, reflected into code space so the
-        # merge pre-check sees WETH and ETH as one token.
-        remap = cfg.remove_weth and cfg.weth_tokens
-        if remap:
-            weth_token_codes = [
-                code
-                for token in cfg.weth_tokens
-                if (code := interner.code_of(token)) >= 0
-            ]
-            if weth_token_codes:
-                ether_code = interner.code(ETHER)
-                tokens = np.where(
-                    np.isin(tokens, weth_token_codes), ether_code, tokens
-                )
-        results: list[list[AppTransfer]] = []
-        weth_tokens = cfg.weth_tokens if cfg.remove_weth else frozenset()
-        for start, stop in spans:
-            span_keep = keep[start:stop]
-            kept = np.nonzero(span_keep)[0]
-            out: list[AppTransfer] = []
-            append = out.append
-            for offset in kept.tolist():
-                t = rows[start + offset]
-                token = ETHER if t.token in weth_tokens else t.token
-                append(AppTransfer(t.seq, t.tag_sender, t.tag_receiver, t.amount, token))
-            if cfg.merge_inter_app and len(out) >= 2:
-                idx = kept + start
-                if merge_candidates_exist(
-                    senders[idx], receivers[idx], tokens[idx]
-                ):
-                    out = self._merge_inter_app(out)
-            results.append(out)
-        return results
-
-    def _simplify_rows(self, tagged: Sequence[TaggedTransfer]) -> list[AppTransfer]:
         # Rules 1 and 2 are per-item filters applied in order, so they are
         # fused into the lifting pass: one output list instead of three
         # intermediate ones (this path runs once per scanned transaction).
@@ -212,20 +95,6 @@ class TransferSimplifier:
             for t in transfers
             if t.sender is None or t.receiver is None or t.sender != t.receiver
         ]
-
-    # -- rule 2 -----------------------------------------------------------
-
-    def _remove_weth(self, transfers: Iterable[AppTransfer]) -> list[AppTransfer]:
-        weth_tag = self.config.weth_tag
-        weth_tokens = self.config.weth_tokens
-        unified: list[AppTransfer] = []
-        for t in transfers:
-            if t.sender == weth_tag or t.receiver == weth_tag:
-                continue
-            if t.token in weth_tokens:
-                t = replace(t, token=ETHER)
-            unified.append(t)
-        return unified
 
     # -- rule 3 -----------------------------------------------------------
 

@@ -79,20 +79,7 @@ class TradeIdentifier:
     #: transfer is treated as a fee burn, not an action of its own.
     FEE_BURN_RATIO = 0.2
 
-    def __init__(self, *, vectorize: bool | None = None) -> None:
-        #: ``True`` forces the numpy path, ``False`` the object path,
-        #: ``None`` auto-dispatches on transfer count (see
-        #: :mod:`repro.leishen.lifting`); both paths are byte-equivalent.
-        self.vectorize = vectorize
-
     def identify(self, transfers: list[AppTransfer]) -> list[Trade]:
-        from .lifting import HAVE_NUMPY, VECTOR_MIN_ROWS
-
-        vectorize = self.vectorize
-        if vectorize is None:
-            vectorize = len(transfers) >= VECTOR_MIN_ROWS
-        if vectorize and HAVE_NUMPY:
-            return self._identify_vector(transfers)
         transfers = self._strip_fee_burns(transfers)
         trades: list[Trade] = []
         i = 0
@@ -112,137 +99,6 @@ class TradeIdentifier:
                 continue
             i += 1
         return trades
-
-    def identify_batch(self, batches: list[list[AppTransfer]]) -> list[list[Trade]]:
-        """Identify trades for many transactions' transfer lists.
-
-        Each batch is scanned independently (the greedy window never
-        crosses a transaction boundary); the vector path amortizes its
-        mask precomputation per batch.
-        """
-        return [self.identify(batch) for batch in batches]
-
-    # -- vectorized path ------------------------------------------------------
-
-    def _identify_vector(self, transfers: list[AppTransfer]) -> list[Trade]:
-        """Array-mask evaluation of the Table III predicates.
-
-        Integer-code conditions (tag/token equalities, BlackHole tests)
-        are evaluated over the whole transfer list at once; the
-        amount-sensitive fee-burn ratio runs on Python ints at candidate
-        positions only, and the greedy consume loop replays the object
-        path's exact first-match order by reading precomputed shape
-        codes. Byte-equivalence with the object path is pinned by
-        ``tests/leishen/test_lifting.py``.
-        """
-        from .lifting import (
-            TagInterner,
-            fee_burn_candidates,
-            lift_codes,
-            trade_shape_masks,
-        )
-
-        interner = TagInterner()
-        senders, receivers, tokens = lift_codes(
-            [(t.sender, t.receiver, t.token) for t in transfers], interner
-        )
-        bh = interner.code_of(BLACKHOLE_TAG)
-        burn_drops: set[int] = set()
-        if bh >= 0:
-            ratio = self.FEE_BURN_RATIO
-            for idx in fee_burn_candidates(senders, receivers, tokens, bh):
-                # exact original expression, on the original Python ints
-                # (idx > 0 is guaranteed by the candidate mask).
-                if transfers[idx].amount <= transfers[idx - 1].amount * ratio:
-                    burn_drops.add(int(idx))
-        if burn_drops:
-            kept = [i for i in range(len(transfers)) if i not in burn_drops]
-            transfers = [transfers[i] for i in kept]
-            senders, receivers, tokens = senders[kept], receivers[kept], tokens[kept]
-        shape3, shape2 = trade_shape_masks(senders, receivers, tokens, bh)
-        trades: list[Trade] = []
-        i = 0
-        n = len(transfers)
-        while i < n:
-            if i + 3 <= n and shape3[i]:
-                trades.append(self._build3(int(shape3[i]), transfers, i))
-                i += 3
-                continue
-            if i + 2 <= n and shape2[i]:
-                trades.append(self._build2(int(shape2[i]), transfers, i))
-                i += 2
-                continue
-            i += 1
-        return trades
-
-    @staticmethod
-    def _build3(shape: int, transfers: list[AppTransfer], i: int) -> Trade:
-        from .lifting import MINT3, REMOVE3, SWAP3
-
-        t1, t2, t3 = transfers[i], transfers[i + 1], transfers[i + 2]
-        if shape == SWAP3:
-            kind = TradeKind.SWAP
-        elif shape == MINT3:
-            kind = TradeKind.MINT_LIQUIDITY
-        else:
-            kind = TradeKind.REMOVE_LIQUIDITY
-        if shape == MINT3:
-            amount_buy, token_buy = t3.amount, t3.token
-            extra = ((t2.token, t2.amount),)
-        else:
-            amount_buy, token_buy = t2.amount, t2.token
-            extra = ((t3.token, t3.amount),)
-        return Trade(
-            seq=t1.seq,
-            kind=kind,
-            buyer=t1.sender,
-            seller=t1.receiver if shape != REMOVE3 else t2.sender,
-            amount_sell=t1.amount,
-            token_sell=t1.token,
-            amount_buy=amount_buy,
-            token_buy=token_buy,
-            extra_legs=extra,
-        )
-
-    @staticmethod
-    def _build2(shape: int, transfers: list[AppTransfer], i: int) -> Trade:
-        from .lifting import MINT2_A, MINT2_B, REMOVE2_A, SWAP2
-
-        t1, t2 = transfers[i], transfers[i + 1]
-        if shape == SWAP2:
-            return Trade(
-                seq=t1.seq,
-                kind=TradeKind.SWAP,
-                buyer=t1.sender,
-                seller=t1.receiver,
-                amount_sell=t1.amount,
-                token_sell=t1.token,
-                amount_buy=t2.amount,
-                token_buy=t2.token,
-            )
-        if shape in (MINT2_A, MINT2_B):
-            deposit, minted = (t1, t2) if shape == MINT2_A else (t2, t1)
-            return Trade(
-                seq=min(deposit.seq, minted.seq),
-                kind=TradeKind.MINT_LIQUIDITY,
-                buyer=deposit.sender,
-                seller=deposit.receiver,
-                amount_sell=deposit.amount,
-                token_sell=deposit.token,
-                amount_buy=minted.amount,
-                token_buy=minted.token,
-            )
-        burned, payout = (t1, t2) if shape == REMOVE2_A else (t2, t1)
-        return Trade(
-            seq=min(burned.seq, payout.seq),
-            kind=TradeKind.REMOVE_LIQUIDITY,
-            buyer=burned.sender,
-            seller=payout.sender,
-            amount_sell=burned.amount,
-            token_sell=burned.token,
-            amount_buy=payout.amount,
-            token_buy=payout.token,
-        )
 
     def _strip_fee_burns(self, transfers: list[AppTransfer]) -> list[AppTransfer]:
         """Drop fee-on-transfer burn records.

@@ -81,15 +81,43 @@ def merge_profiles(payloads) -> dict:
     return {"timers_ns": timers, "counters": counters}
 
 
+#: stages the detector times inside the engine's per-transaction
+#: ``detect`` timer (:meth:`repro.leishen.detector.LeiShen.analyze`).
+DETECT_STAGES = frozenset({"identify", "tag", "simplify", "trades", "match"})
+
+
+def _stage_row(stage: str, elapsed: int, total: int, indent: int) -> str:
+    share = elapsed / total if total else 0.0
+    name = " " * indent + stage
+    return f"{name:<20} {elapsed / 1e6:>10.1f} ms  {share:>6.1%}"
+
+
 def render_profile(payload: dict) -> str:
-    """Human-readable stage table, slowest stage first."""
+    """Human-readable stage table, slowest stage first.
+
+    Top-level stages are shares of their own sum. When the payload has a
+    ``detect`` timer, the detector's stages (:data:`DETECT_STAGES`) are
+    listed under it as shares of ``detect``, closed by an ``other`` row
+    for the part of ``detect`` no inner timer covers. A profile without
+    ``detect`` (the streaming engine times no enclosing stage) lists
+    every stage at top level.
+    """
     timers = payload.get("timers_ns", {})
     counters = payload.get("counters", {})
-    total = sum(timers.values())
+    nested: dict[str, int] = {}
+    if "detect" in timers:
+        nested = {stage: ns for stage, ns in timers.items() if stage in DETECT_STAGES}
+    top = {stage: ns for stage, ns in timers.items() if stage not in nested}
+    total = sum(top.values())
     lines = ["stage profile (wall time per stage, summed across shards):"]
-    for stage, elapsed in sorted(timers.items(), key=lambda item: -item[1]):
-        share = elapsed / total if total else 0.0
-        lines.append(f"  {stage:<18} {elapsed / 1e6:>10.1f} ms  {share:>5.1%}")
+    for stage, elapsed in sorted(top.items(), key=lambda item: -item[1]):
+        lines.append(_stage_row(stage, elapsed, total, indent=2))
+        if stage != "detect":
+            continue
+        for inner, inner_ns in sorted(nested.items(), key=lambda item: -item[1]):
+            lines.append(_stage_row(inner, inner_ns, elapsed, indent=4) + " of detect")
+        other = elapsed - sum(nested.values())
+        lines.append(_stage_row("other", other, elapsed, indent=4) + " of detect")
     if counters:
         lines.append("counters:")
         for name, value in sorted(counters.items()):

@@ -48,12 +48,6 @@ class WildScanConfig:
     #: explicitly to pin the partition (and therefore the exact result)
     #: across scales.
     shards: int | None = None
-    #: consult the flash-loan pre-screen before full detection
-    #: (:mod:`repro.leishen.prescreen`). Execution knob only: screening
-    #: rejects on provable necessary conditions, so results are
-    #: byte-identical either way (and the flag stays out of the config
-    #: wire/digest, like ``jobs``).
-    prescreen: bool = True
     #: collect per-stage timers/counters into shard profiles
     #: (:mod:`repro.runtime.profile`). Execution knob only; profiles are
     #: observability output, never part of the result.

@@ -1,11 +1,11 @@
 """Tag-cache warm start: snapshots must never change a tag result.
 
 ``AccountTagger.label_sync_snapshot()`` captures the synced label and
-creation-tree state right after a deterministic world build; installing
-it into an identically built chain skips the cold sync. The contract
-pinned here: warm start is *safe-or-ignored* — it either reproduces the
-cold tagger bit for bit, or (on any counter mismatch) is silently
-dropped and the cold sync runs instead.
+creation-tree state right after a deterministic world build; a
+:class:`ShardContextSnapshot` carrying it into an identically built
+chain skips the cold sync. The contract pinned here: warm start is
+*safe-or-ignored* — it either reproduces the cold tagger bit for bit,
+or (on any mismatch) is silently dropped and the cold sync runs instead.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.scan import (
+    ShardContextSnapshot,
     build_shard_context,
-    clear_tag_snapshots,
-    finalize_shard,
+    clear_context_snapshots,
+    context_snapshot_for,
     run_shard,
-    tag_snapshot_for,
 )
 from repro.leishen.tagging import AccountTagger
 from repro.workload.generator import WildScanConfig
@@ -29,13 +29,21 @@ SHARDS = 4
 
 @pytest.fixture(autouse=True)
 def _fresh_snapshot_store():
-    clear_tag_snapshots()
+    clear_context_snapshots()
     yield
-    clear_tag_snapshots()
+    clear_context_snapshots()
 
 
 def _config() -> WildScanConfig:
     return WildScanConfig(scale=SCALE, seed=SEED, shards=SHARDS)
+
+
+def _capsule(ctx) -> ShardContextSnapshot:
+    """A context snapshot of ``ctx``'s freshly built tagger."""
+    return ShardContextSnapshot(
+        chain_name=ctx.detector.chain.name,
+        tag_snapshot=ctx.detector.tagger.label_sync_snapshot(),
+    )
 
 
 class TestSnapshotEquivalence:
@@ -43,11 +51,10 @@ class TestSnapshotEquivalence:
         cold_ctx = build_shard_context(_config(), 0, SHARDS)
         cold_tagger = cold_ctx.detector.tagger
         assert not cold_tagger.warm_started
-        snapshot = cold_tagger.label_sync_snapshot()
+        capsule = _capsule(cold_ctx)
+        clear_context_snapshots()  # warm only from the capsule passed in
 
-        warm_ctx = build_shard_context(
-            _config(), 0, SHARDS, tag_snapshot=snapshot
-        )
+        warm_ctx = build_shard_context(_config(), 0, SHARDS, capsule)
         warm_tagger = warm_ctx.detector.tagger
         assert warm_tagger.warm_started
         chain = warm_ctx.detector.chain
@@ -64,10 +71,10 @@ class TestSnapshotEquivalence:
 
         parts = shard_schedule(build_schedule(cfg.scale, cfg.seed), SHARDS)
         cold = run_shard((cfg, 1, SHARDS, parts[1]))
-        snapshot = tag_snapshot_for(cfg.seed, cfg.scale, 1, SHARDS)
-        assert snapshot is not None  # captured by the first build
-        clear_tag_snapshots()
-        warm = run_shard((cfg, 1, SHARDS, parts[1], snapshot))
+        capsule = context_snapshot_for(1, SHARDS)
+        assert capsule is not None  # captured by the first build
+        clear_context_snapshots()
+        warm = run_shard((cfg, 1, SHARDS, parts[1], capsule))
         assert warm.total_transactions == cold.total_transactions
         assert [d.tx_hash for d in warm.detections] == [
             d.tx_hash for d in cold.detections
@@ -78,9 +85,11 @@ class TestSnapshotEquivalence:
         import json
 
         ctx = build_shard_context(_config(), 0, SHARDS)
-        snapshot = ctx.detector.tagger.label_sync_snapshot()
-        decoded = json.loads(json.dumps(snapshot))
-        tagger = AccountTagger(ctx.detector.chain, snapshot=decoded)
+        capsule = _capsule(ctx)
+        wire = json.loads(json.dumps(capsule.to_wire()))
+        decoded = ShardContextSnapshot.from_wire(wire)
+        assert decoded == capsule
+        tagger = AccountTagger(ctx.detector.chain, snapshot=decoded.tag_snapshot)
         assert tagger.warm_started
 
 
@@ -89,11 +98,12 @@ class TestSnapshotRejection:
         """A snapshot from shard 0 must be rejected by shard 1's chain
         (different namespace), falling back to the cold sync."""
         ctx0 = build_shard_context(_config(), 0, SHARDS)
-        snapshot = ctx0.detector.tagger.label_sync_snapshot()
-        ctx1_ctx = build_shard_context(
-            _config(), 1, SHARDS, tag_snapshot=snapshot
-        )
-        assert not ctx1_ctx.detector.tagger.warm_started
+        capsule = _capsule(ctx0)
+        ctx1 = build_shard_context(_config(), 1, SHARDS, capsule)
+        assert not ctx1.detector.tagger.warm_started
+        # the tagger itself rejects shard 0's state, whatever name it rides under
+        tagger = AccountTagger(ctx1.detector.chain, snapshot=capsule.tag_snapshot)
+        assert not tagger.warm_started
 
     def test_stale_generation_snapshot_ignored(self):
         ctx = build_shard_context(_config(), 0, SHARDS)
@@ -121,12 +131,12 @@ class TestProcessLevelStore:
 
     def test_store_is_keyed_by_shard(self):
         build_shard_context(_config(), 0, SHARDS)
-        assert tag_snapshot_for(SEED, SCALE, 0, SHARDS) is not None
-        assert tag_snapshot_for(SEED, SCALE, 3, SHARDS) is None
+        assert context_snapshot_for(0, SHARDS) is not None
+        assert context_snapshot_for(3, SHARDS) is None
 
     def test_clear_resets_the_store(self):
         build_shard_context(_config(), 0, SHARDS)
-        clear_tag_snapshots()
-        assert tag_snapshot_for(SEED, SCALE, 0, SHARDS) is None
+        clear_context_snapshots()
+        assert context_snapshot_for(0, SHARDS) is None
         rebuilt = build_shard_context(_config(), 0, SHARDS)
         assert not rebuilt.detector.tagger.warm_started

@@ -31,8 +31,8 @@ class TestStageProfiler:
         prof = StageProfiler()
         prof.count("transactions")
         prof.count("transactions", 9)
-        prof.count("screened_out", 0)
-        assert prof.counters == {"transactions": 10, "screened_out": 0}
+        prof.count("warm_starts", 0)
+        assert prof.counters == {"transactions": 10, "warm_starts": 0}
 
     def test_to_dict_is_a_copy(self):
         prof = StageProfiler()
@@ -75,12 +75,53 @@ class TestRender:
         )
         lines = text.splitlines()
         assert lines[0].startswith("stage profile")
-        assert "detect" in lines[1] and "75.0%" in lines[1]
-        assert "tag" in lines[2] and "25.0%" in lines[2]
+        # ``tag`` runs inside ``detect``: it is a share of ``detect``,
+        # never added to it, and the uncovered rest shows as ``other``.
+        assert "detect" in lines[1] and "100.0%" in lines[1]
+        assert "tag" in lines[2] and "33.3% of detect" in lines[2]
+        assert "other" in lines[3] and "66.7% of detect" in lines[3]
         assert any("transactions" in line for line in lines)
+
+    def test_top_level_shares_exclude_nested_stages(self):
+        text = render_profile(
+            {
+                "timers_ns": {
+                    "build_context": 1_000_000,
+                    "execute": 5_000_000,
+                    "detect": 4_000_000,
+                    "identify": 1_000_000,
+                    "match": 2_000_000,
+                },
+                "counters": {},
+            }
+        )
+        lines = text.splitlines()
+        assert "execute" in lines[1] and "50.0%" in lines[1]
+        assert "detect" in lines[2] and "40.0%" in lines[2]
+        assert "match" in lines[3] and "50.0% of detect" in lines[3]
+        assert "identify" in lines[4] and "25.0% of detect" in lines[4]
+        assert "other" in lines[5] and "25.0% of detect" in lines[5]
+        assert "build_context" in lines[6] and "10.0%" in lines[6]
+
+    def test_without_detect_every_stage_is_top_level(self):
+        # a stream profile times the detector's stages but no enclosing
+        # ``detect``; its shares are of the plain sum, with no ``other``.
+        text = render_profile(
+            {
+                "timers_ns": {"build_context": 1_000_000, "tag": 3_000_000},
+                "counters": {},
+            }
+        )
+        lines = text.splitlines()
+        assert "tag" in lines[1] and "75.0%" in lines[1]
+        assert "build_context" in lines[2] and "25.0%" in lines[2]
+        assert len(lines) == 3
+        assert "of detect" not in text and "other" not in text
 
     def test_zero_total_is_safe(self):
         assert "stage profile" in render_profile({"timers_ns": {}, "counters": {}})
+        text = render_profile({"timers_ns": {"detect": 0}, "counters": {}})
+        assert "other" in text
 
 
 class TestWriteProfile:
