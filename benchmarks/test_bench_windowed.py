@@ -1,8 +1,9 @@
 """Cross-transaction windowed-detection benchmark: recall and latency.
 
 Streams a schedule carrying labelled split attacks with the window off
-and on, writes the ``BENCH_windowed.json`` artifact at the repo root,
-and checks the contract the feature exists for: the split rounds are
+and on, writes the report to a temporary directory (``make
+windowed-smoke`` regenerates the canonical ``BENCH_windowed.json``), and
+checks the contract the feature exists for: the split rounds are
 invisible per transaction (per-tx identity with the batch engine holds
 in both modes) yet the sliding-window matcher recovers every labelled
 group. The identity and recall assertions are always on — only the
@@ -13,15 +14,12 @@ latency benches, so shared CI runners record timings without flaking.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 from repro.engine.bench import (
     DEFAULT_WINDOWED_ARTIFACT,
     run_windowed_bench,
     write_artifact,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
@@ -31,11 +29,11 @@ STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 STRICT_BLOCK_P95_MS = 2_000.0
 
 
-def test_bench_windowed_recall_and_identity():
+def test_bench_windowed_recall_and_identity(tmp_path):
     report = run_windowed_bench(
         scale=0.01, seed=7, jobs_values=(1, 4), split_attacks=2, block_size=16
     )
-    write_artifact(report, REPO_ROOT / DEFAULT_WINDOWED_ARTIFACT)
+    write_artifact(report, tmp_path / DEFAULT_WINDOWED_ARTIFACT)
 
     # run_windowed_bench already raised on any identity or recall
     # violation; re-check the recorded numbers tell the same story.

@@ -10,7 +10,6 @@ LeiShen the totally ordered transfer history Sec. V-A requires.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Type, TypeVar
 
@@ -127,8 +126,9 @@ class Chain:
         #: Etherscan-style labels seeded at deployment time.
         self.labels: dict[Address, str] = _LabelMap(self)
         self.blocks: list[Block] = [Block(number=0, timestamp=GENESIS_TIMESTAMP)]
-        self._seq = itertools.count(1)
-        self._tx_counter = itertools.count(1)
+        #: the next sequence number to stamp, and the last tx nonce used.
+        self._seq = 1
+        self._tx_nonce = 0
         self._depth = 0
         self._trace: TransactionTrace | None = None
 
@@ -207,14 +207,11 @@ class Chain:
     # trace recording
     # ------------------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        return next(self._seq)
-
     def _record_transfer(self, sender: Address, receiver: Address, amount: int, token: Address) -> None:
         if self._trace is not None:
-            self._trace.transfers.append(
-                TransferRecord(self._next_seq(), sender, receiver, amount, token)
-            )
+            seq = self._seq
+            self._seq = seq + 1
+            self._trace.transfers.append(TransferRecord(seq, sender, receiver, amount, token))
 
     def record_token_transfer(self, sender: Address, receiver: Address, amount: int, token: Address) -> None:
         """Record an ERC20 ``Transfer`` log (called by token contracts)."""
@@ -222,9 +219,9 @@ class Chain:
 
     def emit_log(self, emitter: Address, event: str, **params: Any) -> None:
         if self._trace is not None:
-            self._trace.logs.append(
-                LogRecord(self._next_seq(), emitter, event, tuple(params.items()))
-            )
+            seq = self._seq
+            self._seq = seq + 1
+            self._trace.logs.append(LogRecord(seq, emitter, event, tuple(params.items())))
 
     # ------------------------------------------------------------------
     # calls and transactions
@@ -250,48 +247,29 @@ class Chain:
         if contract is None:
             raise NotAContract(f"call target {target} is not a contract")
         self.state.checkpoint()
-        marks = self._trace_marks()
+        trace = self._trace
+        # every record of this call's subtree is stamped at or after ``mark``
+        mark = self._seq
         self._depth += 1
-        if self._trace is not None:
-            self._trace.calls.append(
-                CallRecord(self._next_seq(), caller, target, function, self._depth, value)
-            )
+        if trace is not None:
+            self._seq = mark + 1
+            trace.calls.append(CallRecord(mark, caller, target, function, self._depth, value))
         try:
             if value:
                 self._move_ether(caller, target, value)
-            result = contract.dispatch(function, Msg(sender=caller, value=value), *args, **kwargs)
-        except Revert:
-            self.state.rollback()
-            self._truncate_trace(marks)
-            raise
+            result = contract.dispatch(function, Msg(caller, value), *args, **kwargs)
         except ChainError:
             self.state.rollback()
-            self._truncate_trace(marks)
+            if trace is not None:
+                for records in (trace.transfers, trace.calls, trace.logs, trace.creations):
+                    while records and records[-1].seq >= mark:
+                        records.pop()
             raise
         else:
             self.state.commit()
             return result
         finally:
             self._depth -= 1
-
-    def _trace_marks(self) -> tuple[int, int, int, int] | None:
-        if self._trace is None:
-            return None
-        return (
-            len(self._trace.transfers),
-            len(self._trace.calls),
-            len(self._trace.logs),
-            len(self._trace.creations),
-        )
-
-    def _truncate_trace(self, marks: tuple[int, int, int, int] | None) -> None:
-        if marks is None or self._trace is None:
-            return
-        transfers, calls, logs, creations = marks
-        del self._trace.transfers[transfers:]
-        del self._trace.calls[calls:]
-        del self._trace.logs[logs:]
-        del self._trace.creations[creations:]
 
     def transact(
         self,
@@ -351,8 +329,9 @@ class Chain:
         return trace
 
     def _tx_hash(self, sender: Address, target: Address, function: str) -> str:
-        nonce = next(self._tx_counter)
-        return "0x" + keccak_address(self.name, sender, target, function, str(nonce))[2:].ljust(64, "0")
+        self._tx_nonce += 1
+        nonce = str(self._tx_nonce)
+        return "0x" + keccak_address(self.name, sender, target, function, nonce)[2:].ljust(64, "0")
 
     # ------------------------------------------------------------------
     # deployment
@@ -382,7 +361,8 @@ class Chain:
         contract = contract_cls(self, address, *args, **kwargs)
         self.contracts[address] = contract
         self.created_by[address] = creator
-        record = CreationRecord(self._next_seq(), creator, address)
+        record = CreationRecord(self._seq, creator, address)
+        self._seq += 1
         self.creations.append(record)
         self.version += 1
         if self._trace is not None:

@@ -27,9 +27,13 @@ __all__ = ["Msg", "Contract", "external"]
 F = TypeVar("F", bound=Callable[..., Any])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Msg:
-    """Call context handed to every external function."""
+    """Call context handed to every external function.
+
+    A value, never mutated after construction; not frozen (see
+    :class:`~repro.chain.trace.TransferRecord`).
+    """
 
     sender: Address
     value: int = 0
@@ -61,6 +65,13 @@ class Contract:
     #: Default application name for instances of this contract class.
     APP_NAME: str | None = None
 
+    #: function name -> whether it is dispatchable; one table per class.
+    _externals: dict[str, bool] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._externals = {}
+
     def __init__(self, chain: "Chain", address: Address) -> None:
         self.chain = chain
         self.address = address
@@ -82,18 +93,17 @@ class Contract:
         (e.g. flash-loan receiver callbacks) can declare the entry point
         once and subclasses can override without re-decorating.
         """
+        cls = type(self)
+        external = cls._externals.get(function)
+        if external is None:
+            external = cls._externals[function] = any(
+                getattr(klass.__dict__.get(function), "__external__", False)
+                for klass in cls.__mro__
+            )
         handler = getattr(self, function, None)
-        if handler is None or not self._is_external(function):
-            raise UnknownFunction(f"{type(self).__name__} has no external fn {function!r}")
+        if handler is None or not external:
+            raise UnknownFunction(f"{cls.__name__} has no external fn {function!r}")
         return handler(msg, *args, **kwargs)
-
-    @classmethod
-    def _is_external(cls, function: str) -> bool:
-        for klass in cls.__mro__:
-            candidate = klass.__dict__.get(function)
-            if candidate is not None and getattr(candidate, "__external__", False):
-                return True
-        return False
 
     # -- convenience wrappers used by subclasses --------------------------
 

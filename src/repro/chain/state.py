@@ -13,7 +13,7 @@ slots without the 256-bit encoding noise.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
 
 from .types import Address
 
@@ -25,16 +25,19 @@ _MISSING = object()
 class StateJournal:
     """A flat key/value store with nested checkpoints.
 
-    The journal records, for every write since the innermost open
-    checkpoint, the key's *previous* value (or a tombstone if it was
-    absent). ``rollback`` replays the journal in reverse; ``commit`` folds
-    the journal entries into the parent checkpoint so outer rollbacks still
-    restore correctly.
+    While a checkpoint is open, every write appends the key's *previous*
+    value (or a tombstone if it was absent) to one undo log, and each
+    checkpoint is a mark into that log. ``rollback`` restores the entries
+    past the innermost mark in reverse order and truncates the log;
+    ``commit`` only drops the mark, so an outer rollback still restores
+    the committed writes. The log is cleared when the outermost
+    checkpoint closes.
     """
 
     def __init__(self) -> None:
         self._data: dict[tuple[Address, Hashable], Any] = {}
-        self._journals: list[dict[tuple[Address, Hashable], Any]] = []
+        self._log: list[tuple[tuple[Address, Hashable], Any]] = []
+        self._marks: list[int] = []
 
     # -- reads ---------------------------------------------------------
 
@@ -44,71 +47,60 @@ class StateJournal:
     def contains(self, owner: Address, slot: Hashable) -> bool:
         return (owner, slot) in self._data
 
-    def items_for(self, owner: Address) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate ``(slot, value)`` pairs owned by one address (for debugging
-        and explorer views; O(total state), not used on hot paths)."""
-        for (addr, slot), value in self._data.items():
-            if addr == owner:
-                yield slot, value
-
     # -- writes --------------------------------------------------------
 
     def set(self, owner: Address, slot: Hashable, value: Any) -> None:
         key = (owner, slot)
-        if self._journals:
-            journal = self._journals[-1]
-            if key not in journal:
-                journal[key] = self._data.get(key, _MISSING)
+        if self._marks:
+            self._log.append((key, self._data.get(key, _MISSING)))
         self._data[key] = value
 
     def delete(self, owner: Address, slot: Hashable) -> None:
         key = (owner, slot)
-        if key not in self._data:
-            return
-        if self._journals:
-            journal = self._journals[-1]
-            if key not in journal:
-                journal[key] = self._data[key]
-        del self._data[key]
+        old = self._data.pop(key, _MISSING)
+        if old is not _MISSING and self._marks:
+            self._log.append((key, old))
 
     def add(self, owner: Address, slot: Hashable, delta: int) -> int:
         """Numeric read-modify-write helper; returns the new value."""
-        new = self.get(owner, slot, 0) + delta
-        self.set(owner, slot, new)
+        key = (owner, slot)
+        old = self._data.get(key, _MISSING)
+        if self._marks:
+            self._log.append((key, old))
+        new = self._data[key] = (0 if old is _MISSING else old) + delta
         return new
 
     # -- checkpoints ----------------------------------------------------
 
     def checkpoint(self) -> int:
         """Open a nested checkpoint; returns its depth (for assertions)."""
-        self._journals.append({})
-        return len(self._journals)
+        self._marks.append(len(self._log))
+        return len(self._marks)
 
     def commit(self) -> None:
-        """Fold the innermost checkpoint into its parent."""
-        if not self._journals:
+        """Close the innermost checkpoint, keeping its writes."""
+        if not self._marks:
             raise RuntimeError("commit without checkpoint")
-        journal = self._journals.pop()
-        if self._journals:
-            parent = self._journals[-1]
-            for key, old in journal.items():
-                if key not in parent:
-                    parent[key] = old
+        self._marks.pop()
+        if not self._marks:
+            self._log.clear()
 
     def rollback(self) -> None:
         """Undo every write since the innermost checkpoint."""
-        if not self._journals:
+        if not self._marks:
             raise RuntimeError("rollback without checkpoint")
-        journal = self._journals.pop()
-        for key, old in journal.items():
+        mark = self._marks.pop()
+        data = self._data
+        for key, old in reversed(self._log[mark:]):
             if old is _MISSING:
-                self._data.pop(key, None)
+                data.pop(key, None)
             else:
-                self._data[key] = old
+                data[key] = old
+        del self._log[mark:]
 
     @property
     def depth(self) -> int:
-        return len(self._journals)
+        return len(self._marks)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -122,14 +114,15 @@ class StorageView:
     contract knowing about checkpoints.
     """
 
-    __slots__ = ("_state", "_owner")
+    __slots__ = ("_state", "_owner", "_data")
 
     def __init__(self, state: StateJournal, owner: Address) -> None:
         self._state = state
         self._owner = owner
+        self._data = state._data
 
     def get(self, slot: Hashable, default: Any = None) -> Any:
-        return self._state.get(self._owner, slot, default)
+        return self._data.get((self._owner, slot), default)
 
     def set(self, slot: Hashable, value: Any) -> None:
         self._state.set(self._owner, slot, value)
@@ -141,4 +134,4 @@ class StorageView:
         self._state.delete(self._owner, slot)
 
     def contains(self, slot: Hashable) -> bool:
-        return self._state.contains(self._owner, slot)
+        return (self._owner, slot) in self._data

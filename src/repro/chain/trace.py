@@ -24,13 +24,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TransferRecord:
     """One account-level asset transfer T_i = (sender, receiver, amount, token).
 
     ``token == ETHER`` marks a native Ether movement (an internal
     transaction in real Ethereum); any other token address marks an ERC20
     ``Transfer`` log.
+
+    A value, never mutated after construction. Not frozen, since frozen
+    fields are set one ``object.__setattr__`` at a time; so unhashable.
     """
 
     seq: int
@@ -50,9 +53,12 @@ class TransferRecord:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CallRecord:
-    """A message call (external or internal) observed during execution."""
+    """A message call (external or internal) observed during execution.
+
+    A value, never mutated after construction (see :class:`TransferRecord`).
+    """
 
     seq: int
     caller: Address
@@ -62,9 +68,12 @@ class CallRecord:
     value: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LogRecord:
-    """An event log emitted by a contract."""
+    """An event log emitted by a contract.
+
+    A value, never mutated after construction (see :class:`TransferRecord`).
+    """
 
     seq: int
     emitter: Address

@@ -85,6 +85,10 @@ class LendingMarket(DeFiProtocol):
         self.storage.add(("cash", collateral_token), collateral_amount)
         self.storage.add(("cash", borrow_token), -borrow_amount)
         self.storage.add(("debt", msg.sender, borrow_token), borrow_amount)
+        # the tokens ever drawn, so withdraw_collateral checks only their debts
+        drawn = self.storage.get(("drawn", msg.sender), ())
+        if borrow_token not in drawn:
+            self.storage.set(("drawn", msg.sender), drawn + (borrow_token,))
         self.push_token(borrow_token, msg.sender, borrow_amount)
         self.emit(
             "Borrow",
@@ -140,9 +144,8 @@ class LendingMarket(DeFiProtocol):
         """
         posted = self.storage.get(("collateral", msg.sender, collateral_token), 0)
         self.require(0 < amount <= posted, "withdraw exceeds collateral")
-        for (slot, value) in list(self.chain.state.items_for(self.address)):
-            if isinstance(slot, tuple) and slot[0] == "debt" and slot[1] == msg.sender and value > 0:
-                self.require(False, "outstanding debt")
+        for token in self.storage.get(("drawn", msg.sender), ()):
+            self.require(self.debt_of(msg.sender, token) <= 0, "outstanding debt")
         self.storage.set(("collateral", msg.sender, collateral_token), posted - amount)
         self.storage.add(("cash", collateral_token), -amount)
         self.push_token(collateral_token, msg.sender, amount)

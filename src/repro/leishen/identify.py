@@ -29,9 +29,13 @@ __all__ = ["FlashLoan", "FlashLoanIdentifier", "PROVIDERS"]
 PROVIDERS = ("Uniswap", "AAVE", "dYdX")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FlashLoan:
-    """One identified flash loan inside a transaction."""
+    """One identified flash loan inside a transaction.
+
+    A value, never mutated after construction; not frozen (see
+    :class:`~repro.chain.trace.TransferRecord`).
+    """
 
     provider: str
     provider_account: Address

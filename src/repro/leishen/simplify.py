@@ -26,9 +26,13 @@ from .tagging import Tag, TaggedTransfer
 __all__ = ["AppTransfer", "SimplifierConfig", "TransferSimplifier"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AppTransfer:
-    """An application-level transfer ``appT = (sender, receiver, amount, token)``."""
+    """An application-level transfer ``appT = (sender, receiver, amount, token)``.
+
+    A value, never mutated after construction; not frozen (see
+    :class:`~repro.chain.trace.TransferRecord`).
+    """
 
     seq: int
     sender: Tag

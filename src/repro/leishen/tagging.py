@@ -45,10 +45,14 @@ BLACKHOLE_TAG = "BlackHole"
 Tag = str | None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TaggedTransfer:
     """An account-level transfer lifted to tags:
-    ``tagT = (tag_sender, tag_receiver, amount, token)``."""
+    ``tagT = (tag_sender, tag_receiver, amount, token)``.
+
+    A value, never mutated after construction; not frozen (see
+    :class:`~repro.chain.trace.TransferRecord`).
+    """
 
     seq: int
     tag_sender: Tag

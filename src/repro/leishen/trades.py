@@ -32,13 +32,14 @@ class TradeKind(enum.Enum):
     REMOVE_LIQUIDITY = "remove_liquidity"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Trade:
     """The paper's trade tuple, plus bookkeeping.
 
     ``extra_legs`` carries the secondary output of three-transfer swaps /
     removals (the ``a3 t3`` leg of Table III); pattern matching uses the
-    primary legs.
+    primary legs. A value, never mutated after construction; not frozen
+    (see :class:`~repro.chain.trace.TransferRecord`).
     """
 
     seq: int

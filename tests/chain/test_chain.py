@@ -24,6 +24,7 @@ class Counter(Contract):
     @external
     def bump_then_fail(self, msg: Msg) -> None:
         self.storage.add("count", 1)
+        self.emit("Bumped")
         raise Revert("nope")
 
     @external
@@ -32,15 +33,35 @@ class Counter(Contract):
         self.call(other, fn)
 
     @external
-    def bump_catching(self, msg: Msg, other) -> None:
+    def bump_catching(self, msg: Msg, other, fn="bump_then_fail") -> None:
         self.storage.add("count", 1)
         try:
-            self.call(other, "bump_then_fail")
+            self.call(other, fn, value=msg.value)
         except Revert:
             pass  # tolerated, like Solidity try/catch
+        self.emit("Caught")
 
     def count(self) -> int:
         return self.storage.get("count", 0)
+
+
+class QuietCounter(Counter):
+    def bump(self, msg: Msg, by: int = 1) -> int:  # overrides without @external
+        return -by
+
+
+class Sibling(Contract):
+    def bump(self, msg: Msg, by: int = 1) -> int:  # never decorated
+        return by
+
+
+def numbering(trace) -> list[tuple[str, int, int | None]]:
+    """``(record kind, seq relative to the first call, call depth)`` per record."""
+    base = trace.calls[0].seq
+    return [
+        (type(r).__name__.removesuffix("Record").lower(), r.seq - base, getattr(r, "depth", None))
+        for r in trace.ordered_events()
+    ]
 
 
 class TestAccounts:
@@ -99,6 +120,27 @@ class TestDispatch:
         with pytest.raises(ChainError):
             chain.transact(a, b, "bump")
 
+    def test_override_without_decorator_stays_external(self, chain):
+        a = chain.create_eoa()
+        quiet = chain.deploy(a, QuietCounter)
+        assert chain.call(a, quiet.address, "bump", 2) == -2
+
+    def test_sibling_undecorated_method_stays_internal(self, chain):
+        a = chain.create_eoa()
+        quiet = chain.deploy(a, QuietCounter)
+        sibling = chain.deploy(a, Sibling)
+        chain.call(a, quiet.address, "bump")  # resolves "bump" on QuietCounter first
+        with pytest.raises(UnknownFunction):
+            chain.call(a, sibling.address, "bump")
+        assert chain.call(a, quiet.address, "bump") == -1
+
+    def test_unknown_function_in_caught_call_consumes_one_seq(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        counter = chain.deploy(a, Counter)
+        other = chain.deploy(a, Counter)
+        trace = chain.transact(a, counter.address, "bump_catching", other.address, "missing")
+        assert numbering(trace) == [("call", 0, 1), ("log", 2, None)]
+
 
 class TestAtomicity:
     def test_revert_rolls_back_state(self, chain, funded_accounts):
@@ -146,6 +188,17 @@ class TestTraces:
         seqs = [event.seq for event in trace.ordered_events()]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
+
+    def test_caught_revert_leaves_seq_gap(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        counter = chain.deploy(a, Counter)
+        other = chain.deploy(a, Counter)
+        trace = chain.transact(a, counter.address, "bump_catching", other.address, value=5)
+        # seqs 2-4 (inner call, its ether move, its Bumped log) were rolled back
+        assert numbering(trace) == [("call", 0, 1), ("transfer", 1, None), ("log", 5, None)]
+        assert [log.event for log in trace.logs] == ["Caught"]
+        assert trace.transfers[0].receiver == counter.address
+        assert chain.balance(counter.address) == 5 and chain.balance(other.address) == 0
 
     def test_keep_history_flag(self, funded_accounts, chain):
         a = funded_accounts[0]

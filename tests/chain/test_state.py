@@ -36,13 +36,6 @@ class TestBasicOps:
         state.delete(A, "k")
         assert not state.contains(A, "k")
 
-    def test_items_for(self):
-        state = StateJournal()
-        state.set(A, "x", 1)
-        state.set(A, "y", 2)
-        state.set(B, "z", 3)
-        assert dict(state.items_for(A)) == {"x": 1, "y": 2}
-
 
 class TestCheckpoints:
     def test_rollback_restores_overwrite(self):

@@ -13,6 +13,10 @@ op = st.one_of(
     st.tuples(st.just("add"), st.sampled_from(OWNERS), st.integers(0, 5), st.integers(-10, 10)),
 )
 
+#: a program step: open or close a checkpoint (or neither), then one
+#: write. Opening twice as often as closing lets programs nest deeply.
+step = st.tuples(st.sampled_from(["checkpoint", "checkpoint", "commit", "rollback", None]), op)
+
 
 def apply_ops(state, model, ops):
     for kind, owner, slot, value in ops:
@@ -69,3 +73,26 @@ class TestJournalModel:
         state.commit()
         state.rollback()
         assert_matches(state, model)
+
+    @given(st.lists(step, max_size=60))
+    @settings(max_examples=150)
+    def test_nested_program_matches_snapshot_stack(self, program):
+        """Any nesting depth: each checkpoint snapshots the model, a commit
+        drops the snapshot, a rollback restores it."""
+        state, model, snapshots = StateJournal(), {}, []
+        for control, write in program:
+            if control == "checkpoint":
+                state.checkpoint()
+                snapshots.append(dict(model))
+            elif control is not None and snapshots:  # close only an open one
+                saved = snapshots.pop()
+                if control == "commit":
+                    state.commit()
+                else:
+                    state.rollback()
+                    model = saved
+            assert_matches(state, model)
+            apply_ops(state, model, [write])
+            assert_matches(state, model)
+            assert len(state) == len(model)
+        assert state.depth == len(snapshots)
