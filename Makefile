@@ -47,11 +47,10 @@ elastic-smoke:
 resume-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --resume
 
-## resident scan-service bench; regenerates BENCH_service.json — cold
-## vs. warm submit-to-result latency over the TCP protocol (the warm
-## run must hit the snapshot cache), queue wait under a concurrent
-## burst, duplicate coalescing; identity vs. the standalone engine
-## always asserted
+## resident scan-service bench; regenerates BENCH_service.json —
+## submit-to-result latency of two runs over one shard layout via the
+## TCP protocol, queue wait under a concurrent burst, duplicate
+## coalescing; identity vs. the standalone engine always asserted
 service-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --service
 
@@ -63,9 +62,9 @@ service-smoke:
 failover-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/run_smoke.py --failover
 
-## end-to-end full-scale bench (sequential vs. parallel vs. snapshot
-## warm-start, identity always asserted); regenerates BENCH_fullscale.json
-## and PROFILE_wildscan.json. Scale 1.0 takes about 5 minutes on 2 CPUs —
+## end-to-end full-scale bench (sequential vs. parallel vs. a profiled
+## sequential rerun, identity always asserted); regenerates
+## BENCH_fullscale.json and PROFILE_wildscan.json. Scale 1.0 takes about 5 minutes on 2 CPUs —
 ## override with e.g. `make fullscale-smoke SCALE=0.05`
 SCALE ?= 1.0
 fullscale-smoke:

@@ -39,16 +39,16 @@ identity always asserted), regenerating ``BENCH_resume.json``::
     PYTHONPATH=src python benchmarks/run_smoke.py --resume
 
 ``--service`` benches the resident scan service (one in-process server,
-clients over TCP): cold vs. warm submit-to-result latency (the warm run
-must hit the snapshot cache), queue wait under a concurrent burst, and
-duplicate coalescing — identity vs. the standalone engine always
-asserted — regenerating ``BENCH_service.json``::
+clients over TCP): submit-to-result latency of two runs over one shard
+layout, queue wait under a concurrent burst, and duplicate coalescing —
+identity vs. the standalone engine always asserted — regenerating
+``BENCH_service.json``::
 
     PYTHONPATH=src python benchmarks/run_smoke.py --service
 
 ``--fullscale`` runs the end-to-end full-scale bench (sequential vs.
-parallel vs. snapshot-warm-start, identity always asserted via the wire
-encoding), regenerating ``BENCH_fullscale.json`` and
+parallel vs. a profiled sequential rerun, identity always asserted via
+the wire encoding), regenerating ``BENCH_fullscale.json`` and
 ``PROFILE_wildscan.json``. The default ``--scale 1.0`` takes minutes;
 pass a smaller scale for a quick pass::
 
@@ -174,8 +174,8 @@ def main(argv: list[str] | None = None) -> int:
                         "in the precision pool (default 24)")
     parser.add_argument("--service", action="store_true",
                         help="bench the resident scan service "
-                        "(BENCH_service.json): cold vs. warm submit-to-result "
-                        "latency over TCP, queue wait under a concurrent "
+                        "(BENCH_service.json): submit-to-result latency of "
+                        "two runs over TCP, queue wait under a concurrent "
                         "burst, duplicate coalescing; identity vs. the "
                         "standalone engine always asserted")
     parser.add_argument("--burst", type=int, default=4,
@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fullscale", action="store_true",
                         help="bench the end-to-end scan (BENCH_fullscale.json "
                         "+ PROFILE_wildscan.json): sequential vs. parallel "
-                        "vs. warm-start, identity always asserted; "
+                        "vs. a profiled rerun, identity always asserted; "
                         "defaults to --scale 1.0")
     parser.add_argument("--profile-out", type=Path, default=None,
                         help="fullscale only: stage-profile artifact path "

@@ -60,8 +60,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..engine.plan import build_full_schedule
-from ..engine.scan import context_snapshot_for, merge_shard_results, run_shard
+from ..engine.plan import shard_schedule
+from ..engine.scan import finish_shards, open_shards, run_shard
 from ..engine.wire import config_to_wire, shard_result_from_wire, shard_result_to_wire
 from .protocol import (
     PROTOCOL_VERSION,
@@ -282,19 +282,13 @@ class Coordinator:
         self.local_fallback = local_fallback
         self.stats = ClusterStats()
 
-        _, self.shard_count = build_full_schedule(config)
-
-        #: the run ledger (``None`` for unjournaled runs): every completed
-        #: shard payload is journaled, and shards already in the journal
-        #: are never queued — a SIGKILLed coordinator resumes by pointing
-        #: a new one at the same ledger path.
-        self.ledger = None
-        if ledger is not None:
-            # lazy import: repro.runtime imports the engine at load time,
-            # so the import-time dependency must stay one-directional.
-            from ..runtime.ledger import ensure_ledger
-
-            self.ledger = ensure_ledger(ledger, config, self.shard_count)
+        # ``self.ledger`` is the run ledger (``None`` for unjournaled
+        # runs): every completed shard payload is journaled, and shards
+        # already in the journal are never queued — a SIGKILLed
+        # coordinator resumes by pointing a new one at the same path.
+        tasks, self.shard_count, self.ledger, done = open_shards(config, ledger)
+        #: the partition, kept for the in-process fallback.
+        self._parts = shard_schedule(tasks, self.shard_count)
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -312,11 +306,11 @@ class Coordinator:
             # Seed completion from the journal (possibly another
             # coordinator's — the hot-standby adoption path). Shards
             # folded into a compacted snapshot prefix have no individual
-            # payload; the merge always comes from ``ledger.merge()``
-            # when a ledger is attached, so ``None`` placeholders are
-            # only ever used for membership.
+            # payload; a journaled run always merges from its ledger
+            # (``finish_shards``), so ``None`` placeholders are only ever
+            # used for membership.
             payloads = self.ledger.completed_payloads
-            for shard in self.ledger.completed_shards():
+            for shard in done:
                 self._completed[shard] = payloads.get(shard)
             self.stats.resumed_shards = len(self._completed)
         self._pending: deque[int] = deque(
@@ -418,13 +412,10 @@ class Coordinator:
                         self._run_fallback_locked(f"timeout after {timeout}s")
                         continue
                     self._cond.wait(0.1)
-                if self.ledger is None:
-                    outcomes = [
-                        shard_result_from_wire(self._completed[index])
-                        for index in range(self.shard_count)
-                    ]
-                else:
-                    outcomes = None
+                outcomes = [] if self.ledger is not None else [
+                    shard_result_from_wire(self._completed[index])
+                    for index in range(self.shard_count)
+                ]
         finally:
             self.shutdown()
         if getattr(self.config, "profile", False):
@@ -435,12 +426,7 @@ class Coordinator:
                     [self._profiles[i] for i in sorted(self._profiles)]
                 )
                 self.stats.profile = self.profile
-        if outcomes is None:
-            # journaled run: the merge decodes from the ledger, so a
-            # resumed run and an uninterrupted one produce the identical
-            # result from the identical bytes.
-            return self.ledger.merge()
-        return merge_shard_results(self.config, outcomes)
+        return finish_shards(self.config, self.ledger, outcomes)
 
     def _no_capacity_locked(self) -> bool:
         """True when work remains but no worker can ever pick it up."""
@@ -465,13 +451,12 @@ class Coordinator:
         # to deliver results (delivered ones are then skipped here).
         self._cond.release()
         try:
-            parts = self._schedule_parts()
             for index in remaining:
                 with self._lock:
                     if index in self._completed:
                         continue
                 outcome = run_shard(
-                    (self.config, index, self.shard_count, parts[index])
+                    (self.config, index, self.shard_count, self._parts[index])
                 )
                 with self._cond:
                     if index in self._completed:
@@ -486,12 +471,6 @@ class Coordinator:
                     self._cond.notify_all()
         finally:
             self._cond.acquire()
-
-    def _schedule_parts(self) -> list[list]:
-        from ..engine.plan import shard_schedule
-
-        tasks, _ = build_full_schedule(self.config)
-        return shard_schedule(tasks, self.shard_count)
 
     # -- elastic capacity & admission (repro.cluster.autoscale) ----------
 
@@ -756,17 +735,6 @@ class Coordinator:
                 "shard": shard,
                 "shard_count": self.shard_count,
             }
-            # warm-start hint: if this process already built a world with
-            # the shard's chain name (local fallback, thread workers, a
-            # previous assignment — any seed/scale, since the build
-            # consumes no RNG), ship the full context snapshot (tagger
-            # label-sync state + pre-screen address table) so the worker
-            # skips both cold scans. Workers validate it against their
-            # freshly built chain — a mismatch is ignored, never applied,
-            # so the hint cannot change results.
-            snapshot = context_snapshot_for(shard, self.shard_count)
-            if snapshot is not None:
-                assignment["context_snapshot"] = snapshot.to_wire()
             if getattr(self.config, "profile", False):
                 assignment["profile"] = True
             send_message(conn, assignment)

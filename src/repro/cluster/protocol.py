@@ -60,14 +60,14 @@ __all__ = [
 #: v2: coordinator→worker ``heartbeat`` park pings (a v1 worker would
 #: treat them as a protocol error while parked).
 #: v3: versioned wire payloads (``"v"`` on config and shard-result
-#: frames, strict field validation) and the optional ``tag_snapshot``
-#: warm-start hint on ``assign``.
-#: v4: full ``context_snapshot`` warm-start capsules (tagger state) on
-#: ``assign``, superseding the bare ``tag_snapshot`` hint, plus the
-#: optional ``profile`` request flag on ``assign`` and the per-shard
-#: ``profile`` payload on ``result``. The capsule once also carried the
-#: flash-loan pre-screen's address table; both peers read capsule fields
-#: with ``.get``, so dropping that key needed no version bump.
+#: frames, strict field validation) and an optional warm-start hint on
+#: ``assign``.
+#: v4: a fuller warm-start capsule (tagger state) on ``assign``, plus
+#: the optional ``profile`` request flag on ``assign`` and the per-shard
+#: ``profile`` payload on ``result``. The capsule is no longer sent:
+#: worlds build cold, which costs no more than installing it did. Both
+#: peers read optional ``assign`` keys with ``.get``, so dropping it
+#: needed no version bump.
 #: v5: hot-standby failover — ``welcome`` carries a ``failover`` address
 #: list that workers merge into their connect list, and workers accept a
 #: multi-address connect list, rotating through it in the reconnect loop

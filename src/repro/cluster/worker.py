@@ -4,12 +4,12 @@ A worker owns no scheduling state. It connects to a coordinator, learns
 the scan config from the ``welcome`` message, and then loops
 ``ready`` → ``assign`` → execute → ``result`` until drained. Given a
 descriptor ``(seed, scale, shard_index, shard_count)`` it rebuilds the
-canonical schedule locally (:func:`~repro.engine.plan.build_schedule` is
-pure data, so shipping the descriptor is cheaper than shipping the task
-list) and executes its shard through the exact seam the in-process
-engines use — :func:`~repro.engine.scan.build_shard_context` /
-``execute_task`` / ``detect_task`` / ``finalize_shard`` — which is what
-makes a cluster run byte-identical to a local one.
+canonical schedule locally with the engines' own
+:func:`~repro.engine.plan.build_full_schedule` (pure data, so shipping
+the descriptor is cheaper than shipping the task list) and runs its
+shard through the engines' own :func:`~repro.engine.scan.run_shard` —
+the same schedule and the same shard loop are what make a cluster run
+byte-identical to a local one.
 
 A background thread heartbeats every ``heartbeat_interval`` (negotiated
 in the welcome) including mid-shard, so the coordinator can tell a slow
@@ -47,17 +47,11 @@ import dataclasses
 import os
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..engine.plan import build_schedule, shard_schedule, split_schedule_tail
-from ..engine.scan import (
-    build_shard_context,
-    detect_task,
-    execute_task,
-    finalize_shard,
-)
+from ..engine.plan import build_full_schedule, shard_schedule
+from ..engine.scan import run_shard
 from ..engine.wire import config_from_wire, shard_result_to_wire
 from .protocol import (
     PROTOCOL_VERSION,
@@ -367,42 +361,22 @@ class ClusterWorker:
             # the profile flag rides the assignment, not the config wire
             # (it is an execution knob, excluded from the config digest).
             config = dataclasses.replace(config, profile=True)
-        # split_attacks extends the schedule, so it must key the cache
-        # alongside the descriptor triple.
-        cache_key = descriptor + (config.split_attacks,)
-        parts = parts_cache.get(cache_key)
+        parts = parts_cache.get(descriptor)
         if parts is None:
-            tasks = build_schedule(scale, seed)
-            if config.split_attacks:
-                # the tail interleave must use the partition's shard
-                # count — the descriptor is authoritative here, exactly
-                # as it is for seed/scale.
-                tasks = tasks + split_schedule_tail(
-                    config.split_attacks, shard_count, seed
-                )
-            parts = parts_cache[cache_key] = shard_schedule(tasks, shard_count)
-        try:
-            ctx = build_shard_context(
-                config, shard, shard_count, message.get("context_snapshot")
-            )
-            prof = ctx.profiler
-            for number, task in enumerate(parts[shard]):
+            tasks, _ = build_full_schedule(config)
+            parts = parts_cache[descriptor] = shard_schedule(tasks, shard_count)
+
+        def hooked(tasks):
+            # runs the hook before each task and counts it once run_shard
+            # comes back for the next one.
+            for number, task in enumerate(tasks):
                 if self.task_hook is not None:
                     self.task_hook(self, shard, number)
-                if prof is None:
-                    labeled = execute_task(ctx, task)
-                    if labeled is not None:
-                        detect_task(ctx, labeled)
-                else:
-                    started = time.perf_counter_ns()
-                    labeled = execute_task(ctx, task)
-                    prof.add("execute", time.perf_counter_ns() - started)
-                    if labeled is not None:
-                        started = time.perf_counter_ns()
-                        detect_task(ctx, labeled)
-                        prof.add("detect", time.perf_counter_ns() - started)
+                yield task
                 summary.tasks_executed += 1
-            result = finalize_shard(ctx)
+
+        try:
+            result = run_shard((config, shard, shard_count, hooked(parts[shard])))
         except (WorkerKilled, ConnectionClosed, OSError):
             raise
         except Exception as exc:

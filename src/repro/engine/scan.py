@@ -12,6 +12,13 @@ into a merged :class:`~repro.workload.generator.WildScanResult`:
    process pool at ``jobs>1``;
 4. merge the shard results in shard-index order.
 
+Every backend opens a run with :func:`open_shards` (schedule, shard
+count, ledger, already-journaled shards) and closes it with
+:func:`finish_shards` (merge from the journal when there is one), and
+runs a shard's tasks through :func:`run_shard` or, in the streaming
+engine, through the same per-task seam (:func:`execute_task` /
+:func:`detect_task`).
+
 Because each shard's world, RNG stream and task list are derived purely
 from ``(seed, shard_index)``, the merged result is byte-identical for
 any ``jobs`` value — parallelism is an execution detail, not part of the
@@ -28,6 +35,14 @@ from time import perf_counter_ns
 
 from ..chain.errors import ChainError
 from ..world import DeFiWorld, ETHEREUM_PROFILE
+from ..workload.attacks import ADVERSARIAL_CLUSTERS, ATTACK_CLUSTERS
+from ..workload.profiles import (
+    BENIGN_PROFILES,
+    GroundTruth,
+    LabeledTrace,
+    profile_migration,
+    profile_yield_strategy,
+)
 from .plan import (
     Task,
     build_full_schedule,
@@ -38,23 +53,17 @@ from .plan import (
 __all__ = [
     "ScanEngine",
     "ShardContext",
-    "ShardContextSnapshot",
     "ShardResult",
-    "SnapshotStore",
     "build_replay_context",
     "build_shard_context",
-    "clear_context_snapshots",
-    "context_snapshot_for",
-    "context_snapshot_stats",
     "detect_task",
     "execute_task",
     "finalize_shard",
-    "install_context_snapshot",
+    "finish_shards",
     "merge_shard_results",
+    "open_shards",
     "run_shard",
     "run_shard_batch",
-    "set_context_snapshot_limit",
-    "shard_chain_name",
 ]
 
 
@@ -110,210 +119,11 @@ class ShardContext:
     profiler: object = None
 
 
-@dataclass(slots=True)
-class ShardContextSnapshot:
-    """Everything needed to warm-start one shard-world build.
-
-    Carries the tagger's label-sync state and the detector construction
-    inputs recorded for validation. The capsule is plain-dict/JSON-safe
-    so the cluster coordinator can ship it inside an assignment message
-    and a cold worker can skip the label sync.
-
-    The tagger re-validates it against the chain it actually built
-    (version counters inside ``tag_snapshot``), so a stale or mismatched
-    snapshot is silently ignored and can never change a result byte —
-    warm-starting is purely an amortization.
-    """
-
-    #: the shard world's chain name — the snapshot's identity. The world
-    #: build consumes no RNG, so the post-build chain state (creations,
-    #: labels, contracts) is a pure function of the chain name alone,
-    #: independent of seed/scale/shard_count. One snapshot therefore
-    #: warms every configuration whose shard maps to the same name.
-    chain_name: str
-    #: tagger label-sync state (:meth:`AccountTagger.label_sync_snapshot`).
-    tag_snapshot: dict
-    #: detector construction inputs at snapshot time, for validation and
-    #: observability (never replayed into a build).
-    build_params: dict = field(default_factory=dict)
-
-    def to_wire(self) -> dict:
-        return {
-            "chain_name": self.chain_name,
-            "tag_snapshot": self.tag_snapshot,
-            "build_params": dict(self.build_params),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "ShardContextSnapshot | None":
-        """Decode a shipped snapshot; ``None`` for malformed payloads
-        (a worker on a newer/older peer just cold-builds instead)."""
-        if not isinstance(payload, dict):
-            return None
-        chain_name = payload.get("chain_name")
-        tag_snapshot = payload.get("tag_snapshot")
-        if not isinstance(chain_name, str) or not isinstance(tag_snapshot, dict):
-            return None
-        build_params = payload.get("build_params")
-        return cls(
-            chain_name=chain_name,
-            tag_snapshot=tag_snapshot,
-            build_params=dict(build_params) if isinstance(build_params, dict) else {},
-        )
-
-
-class SnapshotStore:
-    """Bounded LRU of :class:`ShardContextSnapshot` keyed by chain name.
-
-    The process-level warm-start store behind ``build_shard_context``:
-    in a one-shot scan an unbounded dict would be harmless, but a
-    long-lived process (:mod:`repro.service`) builds worlds for every
-    shard count it is ever asked to run, so the store must evict. A hit
-    refreshes recency (true LRU, not FIFO), an insert over
-    ``max_entries`` evicts the least recently used entry, and
-    ``set_max_entries`` re-bounds a live store, evicting down if needed.
-    Hit/miss/eviction counters feed the service's cache stats. All
-    operations take an internal lock: the scan service builds shard
-    worlds from several executor threads at once.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        import threading
-        from collections import OrderedDict
-
-        self._entries: "OrderedDict[str, ShardContextSnapshot]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._entries
-
-    def get(self, name: str) -> ShardContextSnapshot | None:
-        with self._lock:
-            snapshot = self._entries.get(name)
-            if snapshot is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(name)
-            self.hits += 1
-            return snapshot
-
-    def put(self, name: str, snapshot: ShardContextSnapshot) -> None:
-        with self._lock:
-            if name in self._entries:
-                self._entries.move_to_end(name)
-            self._entries[name] = snapshot
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def set_max_entries(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        with self._lock:
-            self.max_entries = max_entries
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def names(self) -> list[str]:
-        """Resident chain names, least recently used first."""
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-#: Process-level cache of context snapshots keyed by chain name (see
-#: :class:`ShardContextSnapshot` for why the name alone is the identity).
-#: Any rebuild of a same-named shard world in this process — bench
-#: repeats, in-process pool fallback, cluster requeues on a reused
-#: worker, *and* different seed/scale runs — warm-starts from the first
-#: build instead of re-scanning creations and labels.
-_CONTEXT_SNAPSHOTS = SnapshotStore()
-
-
-def clear_context_snapshots() -> None:
-    """Drop the process-level context-snapshot cache (test isolation)."""
-    _CONTEXT_SNAPSHOTS.clear()
-
-
-def set_context_snapshot_limit(max_entries: int) -> None:
-    """Re-bound the process-level snapshot store (evicting LRU-first)."""
-    _CONTEXT_SNAPSHOTS.set_max_entries(max_entries)
-
-
-def context_snapshot_stats() -> dict:
-    """Hit/miss/eviction counters of the process-level snapshot store."""
-    return _CONTEXT_SNAPSHOTS.stats()
-
-
-def install_context_snapshot(snapshot: ShardContextSnapshot) -> None:
-    """Seed the process-level store with a snapshot kept elsewhere.
-
-    The scan service's warm-entity cache re-installs snapshots it held
-    across runs (its TTL tier outlives the engine store's LRU bound);
-    ``build_shard_context`` re-validates against the freshly built chain
-    as always, so installing a stale capsule is safe."""
-    _CONTEXT_SNAPSHOTS.put(snapshot.chain_name, snapshot)
-
-
-def shard_chain_name(shard_index: int, shard_count: int) -> str:
-    """The chain name one shard's world will carry — the identity under
-    which its context snapshot is cached (and shipped/primed by the
-    cluster coordinator and the scan service)."""
-    return _shard_profile(shard_index, shard_count).chain_name
-
-
-def context_snapshot_for(
-    shard_index: int, shard_count: int
-) -> ShardContextSnapshot | None:
-    """The cached context snapshot for one shard build, if this process
-    has built a world with that shard's chain name before (the cluster
-    coordinator attaches it to assignments so workers warm-start)."""
-    return _CONTEXT_SNAPSHOTS.get(shard_chain_name(shard_index, shard_count))
-
-
-def build_shard_context(
-    cfg,
-    shard_index: int,
-    shard_count: int,
-    context_snapshot: "ShardContextSnapshot | dict | None" = None,
-) -> ShardContext:
+def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext:
     """Build one shard's world and detector stack from ``(cfg, shard)``.
 
     Everything downstream is a pure function of these inputs, which is
     what makes batch and streaming execution interchangeable.
-
-    ``context_snapshot`` (a :class:`ShardContextSnapshot` or its wire
-    dict) warm-starts the detector's account tagger. It is re-validated
-    against the freshly built chain and ignored on mismatch, so a stale
-    snapshot can never change the result. Builds also consult (and
-    populate) the process-level snapshot cache keyed by chain name, so
-    repeated builds of a same-named shard world skip the cold sync
-    automatically.
     """
     # local imports keep worker startup lean under the spawn start method
     from ..leishen.heuristics import YieldAggregatorHeuristic
@@ -330,36 +140,16 @@ def build_shard_context(
     world.chain.keep_history = cfg.keep_history
     market = WildMarket(world, rng)
     injector = WildAttackInjector(market, rng, cfg.scale)
-    chain_name = world.chain.name
-    if isinstance(context_snapshot, dict):
-        context_snapshot = ShardContextSnapshot.from_wire(context_snapshot)
-    if context_snapshot is None:
-        context_snapshot = _CONTEXT_SNAPSHOTS.get(chain_name)
-    if context_snapshot is not None and context_snapshot.chain_name != chain_name:
-        context_snapshot = None
-    tag_snapshot = None if context_snapshot is None else context_snapshot.tag_snapshot
     if cfg.pattern_config is not None:
-        detector = world.detector(patterns=cfg.pattern_config, tag_snapshot=tag_snapshot)
+        detector = world.detector(patterns=cfg.pattern_config)
     else:
-        detector = world.detector(tag_snapshot=tag_snapshot)
-    if chain_name not in _CONTEXT_SNAPSHOTS:
-        _CONTEXT_SNAPSHOTS.put(chain_name, ShardContextSnapshot(
-            chain_name=chain_name,
-            tag_snapshot=detector.tagger.label_sync_snapshot(),
-            build_params={
-                "shard_count": shard_count,
-                "keep_history": bool(cfg.keep_history),
-                "chain_version": world.chain.version,
-            },
-        ))
+        detector = world.detector()
     profiler = None
     if profiling:
         from ..runtime.profile import StageProfiler
 
         profiler = StageProfiler()
         profiler.add("build_context", perf_counter_ns() - started)
-        if context_snapshot is not None:
-            profiler.count("warm_starts")
         detector.profiler = profiler
     return ShardContext(
         cfg=cfg,
@@ -415,15 +205,6 @@ def execute_task(ctx: ShardContext, task: Task):
     ``("replay", trace)`` tasks carry an already-executed transaction and
     only need labeling for the detection step.
     """
-    from ..workload.attacks import ADVERSARIAL_CLUSTERS, ATTACK_CLUSTERS
-    from ..workload.profiles import (
-        BENIGN_PROFILES,
-        GroundTruth,
-        LabeledTrace,
-        profile_migration,
-        profile_yield_strategy,
-    )
-
     kind = task[0]
     if kind == "replay":
         ctx.result.total_transactions += 1
@@ -493,13 +274,11 @@ def run_shard(args: tuple) -> ShardResult:
 
     Module-level (not a method) so it pickles under every multiprocessing
     start method. The payload is ``(cfg, shard_index, shard_count,
-    tasks)`` with an optional fifth element that warm-starts the build: a
-    :class:`ShardContextSnapshot` or its wire dict, ignored when it does
-    not match the freshly built chain.
+    tasks)``. ``tasks`` may be any iterable: the cluster worker hands in
+    a generator that runs its per-task hook before yielding each task.
     """
-    cfg, shard_index, shard_count, tasks = args[:4]
-    context_snapshot = args[4] if len(args) > 4 else None
-    ctx = build_shard_context(cfg, shard_index, shard_count, context_snapshot)
+    cfg, shard_index, shard_count, tasks = args
+    ctx = build_shard_context(cfg, shard_index, shard_count)
     prof = ctx.profiler
     if prof is None:
         for task in tasks:
@@ -522,12 +301,9 @@ def run_shard_batch(payloads: list[tuple]) -> list[ShardResult]:
     """Worker entry point for chunked submission: run several shard
     payloads sequentially inside one worker process.
 
-    Chunking amortizes per-task pool overhead (pickling, dispatch) and —
-    because consecutive payloads of a striped chunk often rebuild
-    same-named shard worlds across scan repeats — lets the in-process
-    snapshot cache warm later builds. Results come back in payload order;
-    the caller owns merge ordering, so chunking never affects the merged
-    result.
+    Chunking amortizes per-task pool overhead (pickling, dispatch).
+    Results come back in payload order; the caller owns merge ordering,
+    so chunking never affects the merged result.
     """
     run = run_shard  # module-global lookup: tests may monkeypatch run_shard
     return [run(payload) for payload in payloads]
@@ -604,6 +380,41 @@ def detect_into(cfg, labeled, detector, heuristic, analyzer, detections, rows):
     return report
 
 
+def open_shards(config, ledger):
+    """Open one run: ``(tasks, shard_count, ledger, done)``.
+
+    ``tasks`` is the full canonical schedule and ``shard_count`` its
+    resolved partition (:func:`~repro.engine.plan.build_full_schedule`).
+    ``ledger`` (``None``, a path, or an open
+    :class:`repro.runtime.RunLedger`) comes back as an open ledger
+    verified against this config, or ``None``; ``done`` holds the shard
+    indices it has already journaled, which the caller must not run
+    again.
+    """
+    tasks, shard_count = build_full_schedule(config)
+    if ledger is None:
+        return tasks, shard_count, None, frozenset()
+    # lazy import: repro.runtime imports this module at load time, so the
+    # import-time dependency must stay one-directional.
+    from ..runtime.ledger import ensure_ledger
+
+    ledger = ensure_ledger(ledger, config, shard_count)
+    return tasks, shard_count, ledger, ledger.completed_shards()
+
+
+def finish_shards(config, ledger, outcomes: list[ShardResult]):
+    """The merged ``WildScanResult`` of a run opened by :func:`open_shards`.
+
+    A journaled run merges from its journal, never from ``outcomes``: the
+    journal holds every shard — resumed ones included — so a resumed run
+    and an uninterrupted one decode the identical bytes. An unjournaled
+    run merges ``outcomes``.
+    """
+    if ledger is not None:
+        return ledger.merge()
+    return merge_shard_results(config, outcomes)
+
+
 class ScanEngine:
     """Shards the wild scan across worker processes and merges the results.
 
@@ -630,21 +441,17 @@ class ScanEngine:
 
     def run(self):
         cfg = self.config
-        tasks, shard_count = build_full_schedule(cfg)
-        ledger = self._resolve_ledger(shard_count)
-        parts = shard_schedule(tasks, shard_count)
-        done = ledger.completed_shards() if ledger is not None else frozenset()
+        tasks, shard_count, ledger, done = open_shards(cfg, self._ledger_spec)
+        self.ledger = ledger
         payloads = [
             (cfg, index, shard_count, part)
-            for index, part in enumerate(parts)
+            for index, part in enumerate(shard_schedule(tasks, shard_count))
             if index not in done
         ]
         record = ledger.record if ledger is not None else None
         jobs = cfg.jobs  # validated >= 1 by WildScanConfig
-        if not payloads:
+        if jobs == 1 or len(payloads) <= 1:
             outcomes: list[ShardResult] = []
-        elif jobs == 1 or len(payloads) == 1:
-            outcomes = []
             for payload in payloads:
                 outcome = run_shard(payload)
                 if record is not None:
@@ -658,23 +465,7 @@ class ScanEngine:
             from ..runtime.profile import merge_profiles
 
             self.profile = merge_profiles([o.profile for o in outcomes])
-        if ledger is not None:
-            return ledger.merge()
-        return self._merge(outcomes)
-
-    def _resolve_ledger(self, shard_count: int):
-        """Normalize the ``ledger`` argument into an open ``RunLedger``.
-
-        Lazy import: :mod:`repro.runtime` imports this module at load
-        time, so the dependency must stay one-directional at import time.
-        """
-        if self._ledger_spec is None:
-            self.ledger = None
-            return None
-        from ..runtime.ledger import ensure_ledger
-
-        self.ledger = ensure_ledger(self._ledger_spec, self.config, shard_count)
-        return self.ledger
+        return finish_shards(cfg, ledger, outcomes)
 
     # ------------------------------------------------------------------
 
@@ -741,6 +532,3 @@ class ScanEngine:
                 on_shard(outcome)
             outcomes.append(outcome)
         return sorted(outcomes, key=lambda outcome: outcome.shard_index)
-
-    def _merge(self, outcomes: list[ShardResult]):
-        return merge_shard_results(self.config, outcomes)

@@ -46,7 +46,7 @@ from ..leishen.window import (
     WindowedMatcher,
 )
 from ..workload.timeline import study_block_height
-from .plan import Task, build_full_schedule, shard_of
+from .plan import Task, shard_of
 from .scan import (
     ShardResult,
     build_replay_context,
@@ -54,7 +54,8 @@ from .scan import (
     detect_task,
     execute_task,
     finalize_shard,
-    merge_shard_results,
+    finish_shards,
+    open_shards,
 )
 
 __all__ = [
@@ -299,21 +300,15 @@ class StreamEngine:
         journaled.
         """
         cfg = self.config
-        tasks, shard_count = build_full_schedule(cfg)
-        ledger = None
-        if self._ledger_spec is not None:
-            if source is not None or detector_factory is not None:
-                raise ValueError(
-                    "ledger journaling requires the canonical schedule stream; "
-                    "custom source/detector_factory runs cannot be journaled"
-                )
-            from ..runtime.ledger import ensure_ledger
-
-            ledger = ensure_ledger(self._ledger_spec, cfg, shard_count)
-            self.ledger = ledger
-        done_shards = (
-            ledger.completed_shards() if ledger is not None else frozenset()
-        )
+        if self._ledger_spec is not None and (
+            source is not None or detector_factory is not None
+        ):
+            raise ValueError(
+                "ledger journaling requires the canonical schedule stream; "
+                "custom source/detector_factory runs cannot be journaled"
+            )
+        tasks, shard_count, ledger, done_shards = open_shards(cfg, self._ledger_spec)
+        self.ledger = ledger
         if source is None:
             source = schedule_block_stream(tasks, self.block_size)
         workers = min(cfg.jobs, shard_count)
@@ -479,9 +474,7 @@ class StreamEngine:
         if ledger is not None:
             for outcome in ordered:
                 ledger.record(outcome)
-            result = ledger.merge()
-        else:
-            result = merge_shard_results(cfg, ordered)
+        result = finish_shards(cfg, ledger, ordered)
         return StreamResult(
             result=result,
             blocks=stats_out,

@@ -63,12 +63,11 @@ class LeiShen:
         chain: "Chain",
         config: LeiShenConfig | None = None,
         labels: LabelDatabase | None = None,
-        tag_snapshot: dict | None = None,
     ) -> None:
         self.chain = chain
         self.config = config or LeiShenConfig()
         self.identifier = FlashLoanIdentifier()
-        self.tagger = AccountTagger(chain, labels, snapshot=tag_snapshot)
+        self.tagger = AccountTagger(chain, labels)
         self.simplifier = TransferSimplifier(self.config.simplifier)
         self.trade_identifier = TradeIdentifier()
         self.matcher = PatternMatcher(self.config.patterns)

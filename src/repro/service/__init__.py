@@ -3,10 +3,9 @@
 The batch, stream and cluster engines each answer one scan and exit.
 This package keeps them resident: a :class:`ScanService` owns an
 admission-controlled run queue (duplicate configs coalesce onto one
-run), a warm-entity cache of shard context snapshots (back-to-back runs
-skip world rebuilds), and per-run :class:`~repro.runtime.RunLedger`
-journals under a data directory — so results survive restarts and are
-served *from the ledger*, never by re-scanning. A framed-JSON TCP
+run), per-run :class:`~repro.runtime.RunLedger` journals under a data
+directory — so results survive restarts and are served *from the
+ledger*, never by re-scanning — and a results cache of decoded merges. A framed-JSON TCP
 server/client pair (:class:`ServiceServer` / :class:`ServiceClient`)
 makes the whole thing reachable from other processes, reusing the
 cluster tier's wire protocol.

@@ -1,12 +1,10 @@
-"""TTL + LRU caches for the scan service's warm entities.
+"""TTL + LRU cache for the scan service's resident results.
 
-A long-lived service keeps hot state resident between requests — shard
-context snapshots so back-to-back runs skip world rebuilds, and merged
-scan results so paged fetches decode each completed ledger once. Both
-tiers want the same policy: entries expire after a TTL (a world nobody
-has asked about in minutes should not pin memory forever) and the store
-is bounded (inserting over capacity evicts the least recently used
-entry).
+A long-lived service keeps merged scan results resident between
+requests, so paged fetches decode each completed ledger once. The
+policy: entries expire after a TTL (a result nobody has asked about in
+minutes should not pin memory forever) and the store is bounded
+(inserting over capacity evicts the least recently used entry).
 
 :class:`TTLCache` is that policy, deliberately tiny and dependency-free:
 an ``OrderedDict`` in recency order plus per-entry deadlines. The clock

@@ -79,7 +79,9 @@ class RunRecord:
     error: str | None = None
     #: the run re-entered the queue from a restart's ledger adoption.
     adopted: bool = False
-    #: warm-entity cache accounting for this run's world builds.
+    #: always 0: the service no longer keeps warm shard worlds. Kept so
+    #: v1 manifests written with them still load (``from_dict`` rejects
+    #: unknown fields) and readers of the run view still find the keys.
     warm_hits: int = 0
     warm_misses: int = 0
     #: shards loaded from the journal vs. freshly executed.

@@ -363,17 +363,11 @@ class DeFiWorld:
             weth_tokens=frozenset({self.weth.address}), **overrides
         )
 
-    def detector(self, tag_snapshot: dict | None = None, **config_overrides) -> "LeiShen":
-        """A LeiShen instance bound to this world's chain and WETH.
-
-        ``tag_snapshot`` warm-starts the tagger's label sync from a
-        snapshot captured off an identically built chain (see
-        :meth:`~repro.leishen.tagging.AccountTagger.label_sync_snapshot`).
-        """
+    def detector(self, **config_overrides) -> "LeiShen":
+        """A LeiShen instance bound to this world's chain and WETH."""
         from .leishen.detector import LeiShen, LeiShenConfig
 
         return LeiShen(
             self.chain,
             LeiShenConfig(simplifier=self.simplifier_config(), **config_overrides),
-            tag_snapshot=tag_snapshot,
         )

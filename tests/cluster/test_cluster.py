@@ -25,7 +25,7 @@ from repro.cluster import (
 from repro.cluster.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.engine.wire import config_to_wire
 from repro.engine.plan import build_schedule, shard_schedule
-from repro.engine.scan import run_shard
+from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.wire import shard_result_to_wire
 from repro.workload.generator import WildScanConfig, WildScanner
 
@@ -90,6 +90,17 @@ class TestHappyPath:
         result, stats = run_cluster_scan(_config(), workers=2)
         assert _snapshot(result) == batch_snapshot
         assert stats.workers_seen == 2
+
+    def test_schedule_tails_identical_to_batch(self):
+        """Workers run the engines' own schedule, split-attack and
+        adversarial tails included."""
+        config = WildScanConfig(
+            scale=SCALE, seed=SEED, shards=SHARDS, adversarial=6, split_attacks=2
+        )
+        reference = _snapshot(ScanEngine(config).run())
+        result, stats = run_cluster_scan(config, workers=2, use_processes=False)
+        assert _snapshot(result) == reference
+        assert stats.local_fallback_shards == 0
 
 
 class TestKilledWorker:

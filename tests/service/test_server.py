@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.cluster.protocol import recv_message, send_message
-from repro.engine.scan import ScanEngine, clear_context_snapshots
+from repro.engine.scan import ScanEngine
 from repro.engine.wire import detection_to_wire
 from repro.service import (
     AdmissionError,
@@ -25,13 +25,6 @@ from repro.workload.generator import WildScanConfig
 CONFIG = WildScanConfig(scale=0.01, seed=7, shards=2)
 
 
-@pytest.fixture(autouse=True)
-def _cold_engine_store():
-    clear_context_snapshots()
-    yield
-    clear_context_snapshots()
-
-
 @pytest.fixture()
 def served(tmp_path):
     with ScanService(tmp_path, executors=2) as service:
@@ -42,7 +35,6 @@ def served(tmp_path):
 def test_tcp_end_to_end_identity(served):
     service, server = served
     reference = [detection_to_wire(d) for d in ScanEngine(CONFIG).run().detections]
-    clear_context_snapshots()
     with ServiceClient(server.address) as client:
         assert client.ping()
         run = client.submit(CONFIG)
