@@ -89,7 +89,7 @@ class ClusterError(RuntimeError):
 
 @dataclass(slots=True)
 class ClusterStats:
-    """Fault/requeue counters for one coordinated run (bench-visible)."""
+    """Fault/requeue counters for one coordinated run."""
 
     workers_seen: int = 0
     assignments: int = 0
@@ -109,8 +109,7 @@ class ClusterStats:
     #: shards loaded from a run ledger instead of executed (resume).
     resumed_shards: int = 0
     #: merged per-stage profile payload after a ``config.profile`` run
-    #: (``None`` otherwise — which is what bench artifacts record, since
-    #: benches never profile; observability only, never result identity).
+    #: (``None`` otherwise; observability only, never result identity).
     profile: dict | None = None
 
     def to_dict(self) -> dict:
@@ -135,7 +134,7 @@ class ClusterStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ClusterStats":
-        """Rebuild stats from :meth:`to_dict` output (bench artifacts)."""
+        """Rebuild stats from :meth:`to_dict` output."""
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:
@@ -182,7 +181,7 @@ class CapacitySnapshot:
         return self.failed or self.completed == self.shard_count
 
     def to_dict(self) -> dict:
-        """JSON-safe view (scaling-policy logs, bench artifacts)."""
+        """JSON-safe view (scaling-policy logs)."""
         return {
             "shard_count": self.shard_count,
             "completed": self.completed,

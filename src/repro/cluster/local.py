@@ -1,10 +1,11 @@
 """Single-machine cluster runs: spawn local workers, run, merge.
 
-``experiments cluster --workers N`` and the benches use this module: a
-coordinator on a loopback ephemeral port plus ``N`` worker *processes*
-(fork start method when available). Environments that deny process
-spawning degrade to worker *threads* — byte-identical results either
-way, because the partition and merge never depend on where shards run.
+``experiments cluster --workers N`` and the service's cluster backend
+use this module: a coordinator on a loopback ephemeral port plus ``N``
+worker *processes* (fork start method when available). Environments
+that deny process spawning degrade to worker *threads* — byte-identical
+results either way, because the partition and merge never depend on
+where shards run.
 Tests inject instrumented workers (``worker_factory``) to simulate
 kills and stalls; those always run as threads so their hooks can share
 state with the test.

@@ -7,12 +7,6 @@ same shard machinery also runs as a streaming pipeline over a live block
 stream (:mod:`repro.engine.stream`) with the identical-results guarantee.
 """
 
-from .bench import (
-    run_cluster_bench,
-    run_stream_bench,
-    run_wildscan_bench,
-    write_artifact,
-)
 from .plan import (
     DEFAULT_SHARD_COUNT,
     MIN_SHARDED_POPULATION,
@@ -63,10 +57,6 @@ __all__ = [
     "shard_seed",
     "schedule_block_stream",
     "screen_blocks",
-    "run_wildscan_bench",
-    "run_stream_bench",
-    "run_cluster_bench",
-    "write_artifact",
     "DEFAULT_SHARD_COUNT",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_QUEUE_DEPTH",

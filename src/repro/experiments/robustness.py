@@ -23,9 +23,9 @@ Measurement semantics:
   family's pattern flagged, how much truly was that family.
 
 Everything is seeded: world construction, attack instances and the
-benign mix derive from ``seed`` alone, so the emitted table — and the
-``BENCH_robustness.json`` artifact built on it — is reproducible
-byte-for-byte.
+benign mix derive from ``seed`` alone, so two sweeps score identically
+and the emitted table is reproducible byte-for-byte. The sweep's
+contracts are pinned in ``tests/experiments/test_robustness.py``.
 """
 
 from __future__ import annotations

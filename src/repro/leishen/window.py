@@ -97,7 +97,7 @@ class WindowedDetection:
     details: tuple[tuple[str, float | int | str], ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        """JSON-safe form for bench artifacts and service payloads."""
+        """JSON-safe form for service payloads."""
         return {
             "pattern": self.pattern,
             "target_token": str(self.target_token),

@@ -6,9 +6,8 @@ pipeline (one ``perf_counter_ns`` pair per instrumented stage, nothing
 when profiling is off). Every shard carries its own profiler; shard
 payloads merge into one run-level profile with :func:`merge_profiles`,
 and :func:`write_profile` dumps the merged payload as a JSON artifact
-alongside the BENCH files so a performance claim ("parallel loses at
-small scales because world generation dominates") is recorded, not
-guessed.
+so a performance claim ("parallel loses at small scales because world
+generation dominates") is recorded, not guessed.
 
 The payload is plain JSON (``{"timers_ns": {...}, "counters": {...}}``)
 so it survives process pools and the cluster wire unchanged. Profiles
@@ -30,7 +29,7 @@ __all__ = [
     "DEFAULT_PROFILE_ARTIFACT",
 ]
 
-#: canonical profile artifact location (repo root, next to BENCH files).
+#: canonical profile artifact location (repo root).
 DEFAULT_PROFILE_ARTIFACT = "PROFILE_wildscan.json"
 
 

@@ -75,7 +75,7 @@ class AttackCluster:
     #: attack family (a registry pattern key) recorded on the ground
     #: truth for labelled per-family scoring. ``None`` on the paper's
     #: historical clusters keeps their ground-truth wire bytes (and the
-    #: wild-scan bench identity) unchanged.
+    #: pinned config and result digests) unchanged.
     family: "str | None" = None
 
 

@@ -15,10 +15,11 @@ sweep order is the declaration order of :data:`MUTATIONS`, and any
 randomness (e.g. which benign trade interleaves) derives from the run
 seed inside the harness, never from global state.
 
-``expect_evades`` documents — and the robustness bench *asserts* — the
-families each mutation class demonstrably pushes below the matching
-pattern's thresholds. Cells not listed are measured and reported but
-not pinned (they sit near threshold boundaries by design).
+``expect_evades`` documents the families each mutation class
+demonstrably pushes below the matching pattern's thresholds, and
+``tests/experiments/test_robustness.py`` asserts it. Cells not listed
+are measured and reported but not pinned (they sit near threshold
+boundaries by design).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class Mutation:
     provider: str | None = None
     interleave: bool = False
     #: families whose primary pattern this mutation provably evades
-    #: (asserted at recall == 0 by the robustness bench).
+    #: (asserted at recall == 0 by ``tests/experiments/test_robustness.py``).
     expect_evades: tuple[str, ...] = ()
 
 

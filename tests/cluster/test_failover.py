@@ -33,6 +33,7 @@ from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.wire import shard_result_to_wire
 from repro.runtime import RunLedger
 from repro.workload.generator import WildScanConfig
+from tests.runtime.test_ledger import _fingerprint
 
 SCALE = 0.005
 SEED = 7
@@ -461,4 +462,4 @@ class TestSigkillFailover:
             if child.is_alive():  # pragma: no cover
                 child.terminate()
                 child.join(timeout=5.0)
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert _fingerprint(result) == _fingerprint(cold_result)

@@ -28,7 +28,8 @@ from repro.workload.profiles import GroundTruth
 #: that shifts it silently orphans every ledger written before it.
 DEFAULT_DIGEST = "de714eea7fd338ee534d3797436ab318f3e52654ba3bb252912d145abb05ed03"
 
-#: same pin for the benchmark config every BENCH_*.json artifact uses.
+#: same pin for the scale-0.01, seed-7 config that the wild-scan tests
+#: and the timing budgets run.
 BENCH_DIGEST = "cb02b363f73eaf3f0d1fed8946fedc76a279af943e8d60b41d0256f70869254a"
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.engine import (
     DEFAULT_SHARD_COUNT,
     MIN_SHARDED_POPULATION,
+    ScanEngine,
     build_schedule,
     population_size,
     resolve_shard_count,
@@ -20,6 +21,7 @@ from repro.engine import (
     shard_seed,
 )
 from repro.workload.generator import WildScanConfig, WildScanner
+from tests.runtime.test_ledger import _fingerprint
 
 SCALE = 0.005
 SEED = 7
@@ -104,19 +106,21 @@ class TestShardPlumbing:
         assert shard_seed(SEED, 0) != shard_seed(SEED + 1, 0)
 
 
-class TestBenchSmoke:
-    def test_bench_artifact_roundtrip(self, tmp_path):
-        import json
+class TestProfiledScan:
+    """``profile=True`` is observability only: it changes no result byte."""
 
-        from repro.engine.bench import run_wildscan_bench, write_artifact
-
-        report = run_wildscan_bench(scale=0.002, seed=SEED, jobs_values=(1, 2), shards=2)
-        path = write_artifact(report, tmp_path / "BENCH_wildscan.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["benchmark"] == "wildscan_throughput"
-        assert {run["jobs"] for run in loaded["runs"]} == {1, 2}
-        totals = {run["total_transactions"] for run in loaded["runs"]}
-        assert len(totals) == 1  # jobs never changes the population
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_profile_changes_no_result_byte(self, sequential_result, jobs):
+        config = WildScanConfig(
+            scale=SCALE, seed=SEED, jobs=jobs, shards=4, profile=True
+        )
+        engine = ScanEngine(config)
+        profiled = engine.run()
+        assert _fingerprint(profiled) == _fingerprint(sequential_result)
+        counters = engine.profile["counters"]
+        assert counters["transactions"] == profiled.total_transactions
+        assert counters["shards_profiled"] == 4
+        assert "detect" in engine.profile["timers_ns"]
 
 
 class TestParallelRecovery:

@@ -13,8 +13,10 @@ def scan_result():
 
 class TestRenderings:
     def test_fig1(self):
-        text = fig1.render()
-        assert "208342" in text.replace(",", "").replace("'", "") or "208_342" in text or "208342" in text
+        points = fig1.run()
+        totals = {p: sum(pt.counts[p] for pt in points) for p in points[0].counts}
+        assert totals == {"Uniswap": 208_342, "dYdX": 41_741, "AAVE": 22_959}
+        assert "208342" in fig1.render(points)
 
     def test_table1_subset(self):
         rows = table1.run(keys=["harvest", "bzx1"])

@@ -88,6 +88,7 @@ def test_concurrent_distinct_submissions_all_identical(tmp_path):
         for view, reference in zip(views, references):
             done = service.wait(view["run_id"], timeout=120)
             assert done["state"] == "completed"
+            assert done["started_at"] >= done["submitted_at"]
             assert service.results(view["run_id"])["detections"] == reference
 
 
