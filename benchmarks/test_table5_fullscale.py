@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.scan import ScanEngine
 from repro.workload.generator import WildScanConfig
-from tests.runtime.test_ledger import _fingerprint
+from tests.fingerprint import fingerprint
 
 #: pattern -> (detected, true, false), as printed in Table V.
 TABLE5_ROWS = {"KRP": (21, 21, 0), "SBS": (79, 68, 11), "MBS": (107, 60, 47)}
@@ -46,4 +46,4 @@ def test_table5_rows(profiled_sequential):
 
 def test_jobs_and_profiling_change_no_byte(profiled_sequential, parallel):
     result, _ = profiled_sequential
-    assert _fingerprint(parallel) == _fingerprint(result)
+    assert fingerprint(parallel) == fingerprint(result)

@@ -28,7 +28,7 @@ from .labels import LabelDatabase
 from .patterns import PatternConfig, PatternMatcher
 from .registry import PatternSettings
 from .report import AttackReport
-from .simplify import SimplifierConfig, TransferSimplifier
+from .simplify import AppTransfer, SimplifierConfig, TransferSimplifier
 from .tagging import AccountTagger
 from .trades import TradeIdentifier
 
@@ -108,8 +108,6 @@ class LeiShen:
             app_transfers = self.simplifier.simplify(tagged)
         else:
             # Ablation: account-level "tags" are the raw addresses.
-            from .simplify import AppTransfer
-
             app_transfers = [
                 AppTransfer(
                     seq=t.seq,

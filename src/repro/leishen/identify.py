@@ -44,86 +44,67 @@ class FlashLoan:
     amount: int
 
 
+#: dYdX's fingerprint: every one of these events in one transaction.
+_DYDX_EVENTS = frozenset({"LogOperation", "LogWithdraw", "LogCall", "LogDeposit"})
+
+
 class FlashLoanIdentifier:
     """Stateless matcher for the three provider fingerprints."""
 
     def identify(self, trace: TransactionTrace) -> list[FlashLoan]:
         """Return every flash loan taken in ``trace`` (possibly several:
-        seven of the studied attacks borrow from more than one provider)."""
+        seven of the studied attacks borrow from more than one provider),
+        Uniswap loans first, then AAVE, then dYdX."""
         loans: list[FlashLoan] = []
-        loans.extend(self._identify_uniswap(trace))
-        loans.extend(self._identify_aave(trace))
-        loans.extend(self._identify_dydx(trace))
+        # Uniswap: uniswapV2Call from a pair an earlier swap call went to.
+        open_swaps: list = []
+        flash_loan_called = False
+        for call in trace.calls:
+            function = call.function
+            if function == "swap":
+                open_swaps.append(call)
+            elif function == "uniswapV2Call":
+                for swap_call in reversed(open_swaps):
+                    pair = swap_call.callee
+                    if pair == call.caller:
+                        token, amount = self._loaned_asset(trace, pair, call.callee, call.seq)
+                        loans.append(FlashLoan("Uniswap", pair, call.callee, token, amount))
+                        break
+            elif function == "flashLoan":
+                flash_loan_called = True
+        logs = trace.logs
+        events = {log.event for log in logs}
+        # AAVE: the flashLoan function plus FlashLoan events.
+        if flash_loan_called and "FlashLoan" in events:
+            for log in logs:
+                if log.event == "FlashLoan":
+                    loans.append(
+                        FlashLoan(
+                            provider="AAVE",
+                            provider_account=log.emitter,
+                            borrower=log.param("target"),
+                            token=log.param("reserve"),
+                            amount=log.param("amount", 0),
+                        )
+                    )
+        # dYdX: the Operate/Withdraw/callFunction/Deposit quadruple.
+        if _DYDX_EVENTS <= events:
+            for log in logs:
+                if log.event == "LogWithdraw":
+                    loans.append(
+                        FlashLoan(
+                            provider="dYdX",
+                            provider_account=log.emitter,
+                            borrower=log.param("account"),
+                            token=log.param("market"),
+                            amount=log.param("amount", 0),
+                        )
+                    )
         return loans
 
     def is_flash_loan_transaction(self, trace: TransactionTrace) -> bool:
         """Whether any provider fingerprint matches ``trace``."""
         return bool(self.identify(trace))
-
-    # -- Uniswap: swap followed by uniswapV2Call ---------------------------
-
-    def _identify_uniswap(self, trace: TransactionTrace) -> list[FlashLoan]:
-        loans: list[FlashLoan] = []
-        open_swaps: list = []
-        for call in trace.calls:
-            if call.function == "swap":
-                open_swaps.append(call)
-            elif call.function == "uniswapV2Call":
-                matching = [c for c in open_swaps if c.callee == call.caller]
-                if not matching:
-                    continue
-                swap_call = matching[-1]
-                token, amount = self._loaned_asset(trace, swap_call.callee, call.callee, call.seq)
-                loans.append(
-                    FlashLoan(
-                        provider="Uniswap",
-                        provider_account=swap_call.callee,
-                        borrower=call.callee,
-                        token=token,
-                        amount=amount,
-                    )
-                )
-        return loans
-
-    # -- AAVE: flashLoan function + FlashLoan event ---------------------------
-
-    def _identify_aave(self, trace: TransactionTrace) -> list[FlashLoan]:
-        if "flashLoan" not in trace.called_functions():
-            return []
-        loans: list[FlashLoan] = []
-        for log in trace.logs:
-            if log.event == "FlashLoan":
-                loans.append(
-                    FlashLoan(
-                        provider="AAVE",
-                        provider_account=log.emitter,
-                        borrower=log.param("target"),
-                        token=log.param("reserve"),
-                        amount=log.param("amount", 0),
-                    )
-                )
-        return loans
-
-    # -- dYdX: the Operate/Withdraw/callFunction/Deposit quadruple --------------
-
-    def _identify_dydx(self, trace: TransactionTrace) -> list[FlashLoan]:
-        events = trace.emitted_events()
-        required = {"LogOperation", "LogWithdraw", "LogCall", "LogDeposit"}
-        if not required <= events:
-            return []
-        loans: list[FlashLoan] = []
-        for log in trace.logs:
-            if log.event == "LogWithdraw":
-                loans.append(
-                    FlashLoan(
-                        provider="dYdX",
-                        provider_account=log.emitter,
-                        borrower=log.param("account"),
-                        token=log.param("market"),
-                        amount=log.param("amount", 0),
-                    )
-                )
-        return loans
 
     # -- helpers --------------------------------------------------------------
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from ..chain.types import Address
@@ -41,6 +42,8 @@ from .tagging import Tag
 from .trades import Trade
 
 __all__ = ["AttackPattern", "PatternConfig", "PatternMatch", "PatternMatcher"]
+
+_by_seq = attrgetter("seq")
 
 
 class AttackPattern(enum.StrEnum):
@@ -94,7 +97,12 @@ class PatternMatcher:
 
         self.settings = PatternSettings.from_value(config)
         self.registry = default_registry()
-        self._patterns = self.registry.select(self.settings.enabled)
+        #: the enabled plugins in match order, each with its parameters
+        #: resolved from the settings
+        self._runs = tuple(
+            (pattern, pattern.config(self.settings))
+            for pattern in self.registry.select(self.settings.enabled)
+        )
 
     @property
     def config(self) -> PatternConfig:
@@ -103,10 +111,12 @@ class PatternMatcher:
 
     def match(self, trades: Sequence[Trade], borrower: Tag) -> list[PatternMatch]:
         """All pattern matches for the given flash-loan borrower tag."""
-        if borrower is None:
+        # every plugin builds its matches from the trades, so no trades
+        # means no matches
+        if borrower is None or not trades:
             return []
-        ordered = sorted(trades, key=lambda t: t.seq)
+        ordered = sorted(trades, key=_by_seq)
         matches: list[PatternMatch] = []
-        for pattern in self._patterns:
-            matches.extend(pattern.match(ordered, borrower, self.settings))
+        for pattern, params in self._runs:
+            matches.extend(pattern.match(ordered, borrower, params))
         return matches

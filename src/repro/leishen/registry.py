@@ -158,20 +158,26 @@ class PatternSettings:
 class Pattern(Protocol):
     """One pluggable behaviour pattern.
 
-    ``match`` receives the transaction's trades *already sorted by
-    seq* plus the flash-loan borrower tag, and returns zero or more
-    :class:`~repro.leishen.patterns.PatternMatch` whose ``pattern``
-    field is this plugin's ``key``.
+    ``config`` resolves the plugin's parameters from a
+    :class:`PatternSettings`; the matcher calls it once, when it is
+    built. ``match`` receives the transaction's trades *already sorted
+    by seq*, the flash-loan borrower tag and that resolved mapping, and
+    returns zero or more :class:`~repro.leishen.patterns.PatternMatch`
+    whose ``pattern`` field is this plugin's ``key``. One mapping serves
+    every call, so ``match`` only reads it.
     """
 
     key: str
     defaults: Mapping[str, float | int]
 
+    def config(self, settings: PatternSettings) -> Mapping[str, float | int]:
+        ...
+
     def match(
         self,
         trades: Sequence[Trade],
         borrower: Tag,
-        settings: PatternSettings,
+        params: Mapping[str, float | int],
     ) -> "list[PatternMatch]":
         ...
 
@@ -183,6 +189,7 @@ class PatternPlugin:
     defaults: Mapping[str, float | int] = {}
 
     def config(self, settings: PatternSettings) -> dict[str, float | int]:
+        """This plugin's ``defaults`` overlaid with the settings' overrides."""
         return {**self.defaults, **settings.params_for(self.key)}
 
 
@@ -203,9 +210,8 @@ class KeepRaisingPrice(PatternPlugin):
     key = "KRP"
     defaults = {"min_buys": 5}
 
-    def match(self, trades, borrower, settings):
-        cfg = self.config(settings)
-        min_buys = cfg["min_buys"]
+    def match(self, trades, borrower, params):
+        min_buys = params["min_buys"]
         matches: "list[PatternMatch]" = []
         tokens = {t.token_buy for t in trades if t.buyer == borrower}
         for token in tokens:
@@ -264,8 +270,7 @@ class SymmetricBuySell(PatternPlugin):
     key = "SBS"
     defaults = {"min_volatility": 0.28, "amount_tolerance": 0.001}
 
-    def match(self, trades, borrower, settings):
-        cfg = self.config(settings)
+    def match(self, trades, borrower, params):
         matches: "list[PatternMatch]" = []
         tokens = {t.token_buy for t in trades if t.buyer == borrower}
         for token in tokens:
@@ -274,7 +279,7 @@ class SymmetricBuySell(PatternPlugin):
             any_buys = [t for t in trades if t.token_buy == token]
             found = self._find_triple(
                 token, own_buys, own_sells, any_buys,
-                tol=cfg["amount_tolerance"], min_volatility=cfg["min_volatility"],
+                tol=params["amount_tolerance"], min_volatility=params["min_volatility"],
             )
             if found is not None:
                 matches.append(found)
@@ -324,8 +329,7 @@ class MultiRoundBuySell(PatternPlugin):
     key = "MBS"
     defaults = {"min_rounds": 3}
 
-    def match(self, trades, borrower, settings):
-        cfg = self.config(settings)
+    def match(self, trades, borrower, params):
         matches: "list[PatternMatch]" = []
         pairs = {
             (t.token_buy, t.seller)
@@ -341,7 +345,7 @@ class MultiRoundBuySell(PatternPlugin):
                 and (t.token_buy == token or t.token_sell == token)
             ]
             rounds = self._count_profitable_rounds(relevant, token)
-            if len(rounds) >= cfg["min_rounds"]:
+            if len(rounds) >= params["min_rounds"]:
                 flat = tuple(trade for pair in rounds for trade in pair)
                 matches.append(
                     _match(
@@ -394,9 +398,8 @@ class SandwichFrontrun(PatternPlugin):
     key = "SANDWICH"
     defaults = {"amount_tolerance": 0.01}
 
-    def match(self, trades, borrower, settings):
-        cfg = self.config(settings)
-        tol = cfg["amount_tolerance"]
+    def match(self, trades, borrower, params):
+        tol = params["amount_tolerance"]
         matches: "list[PatternMatch]" = []
         tokens = {t.token_buy for t in trades if t.buyer == borrower}
         for token in tokens:
@@ -460,10 +463,9 @@ class InfiniteMint(PatternPlugin):
     key = "MINT"
     defaults = {"min_dumps": 2, "max_buyback": 0.5}
 
-    def match(self, trades, borrower, settings):
-        cfg = self.config(settings)
-        min_dumps = cfg["min_dumps"]
-        max_buyback = cfg["max_buyback"]
+    def match(self, trades, borrower, params):
+        min_dumps = params["min_dumps"]
+        max_buyback = params["max_buyback"]
         matches: "list[PatternMatch]" = []
         tokens = {t.token_sell for t in trades if t.buyer == borrower}
         for token in tokens:
@@ -506,10 +508,9 @@ class DonationInflation(PatternPlugin):
     key = "DONATION"
     defaults = {"amount_tolerance": 0.001, "min_gain": 0.25}
 
-    def match(self, trades, borrower, settings):
-        cfg = self.config(settings)
-        tol = cfg["amount_tolerance"]
-        min_gain = cfg["min_gain"]
+    def match(self, trades, borrower, params):
+        tol = params["amount_tolerance"]
+        min_gain = params["min_gain"]
         matches: "list[PatternMatch]" = []
         deposits = [
             t

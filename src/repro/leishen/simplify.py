@@ -18,7 +18,7 @@ with three rules, applied in the paper's order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..chain.types import Address, ETHER
 from .tagging import Tag, TaggedTransfer
@@ -90,62 +90,59 @@ class TransferSimplifier:
             transfers = self._merge_inter_app(transfers)
         return transfers
 
-    # -- rule 1 -----------------------------------------------------------
-
-    @staticmethod
-    def _remove_intra_app(transfers: Iterable[AppTransfer]) -> list[AppTransfer]:
-        return [
-            t
-            for t in transfers
-            if t.sender is None or t.receiver is None or t.sender != t.receiver
-        ]
-
     # -- rule 3 -----------------------------------------------------------
 
     def _merge_inter_app(self, transfers: list[AppTransfer]) -> list[AppTransfer]:
         """Collapse A->I->B chains; iterates to a fixpoint so longer relay
-        chains (A->I1->I2->B) also merge."""
+        chains (A->I1->I2->B) also merge.
+
+        Each pass pairs neighbours left to right, and a merged pair is not
+        re-examined until the next pass, so the pass order decides which
+        hops merge: a one-sweep stack would collapse chains a pass keeps.
+        A pass that merges nothing returns its input unchanged.
+        """
         tolerance = self.config.merge_tolerance
-        changed = True
-        while changed:
-            changed = False
-            merged: list[AppTransfer] = []
+        remove_intra = self.config.remove_intra_app
+        while True:
+            merged: list[AppTransfer] | None = None
+            copied = 0  # transfers[:copied] are already in ``merged``
+            last = len(transfers) - 1
             i = 0
-            while i < len(transfers):
-                current = transfers[i]
-                if i + 1 < len(transfers):
-                    nxt = transfers[i + 1]
-                    if self._mergeable(current, nxt, tolerance):
+            while i < last:
+                first = transfers[i]
+                second = transfers[i + 1]
+                via = first.receiver
+                if (
+                    via is not None
+                    and via == second.sender
+                    and first.token == second.token
+                    and via != first.sender  # an intermediary hop only
+                    and via != second.receiver
+                ):
+                    a = first.amount
+                    b = second.amount
+                    big = a if a > b else b
+                    if big != 0 and abs(a - b) / big <= tolerance:
+                        if merged is None:
+                            merged = transfers[:i]
+                        else:
+                            merged += transfers[copied:i]
                         merged.append(
-                            AppTransfer(
-                                seq=current.seq,
-                                sender=current.sender,
-                                receiver=nxt.receiver,
-                                amount=nxt.amount,
-                                token=current.token,
-                            )
+                            AppTransfer(first.seq, first.sender, second.receiver, b, first.token)
                         )
                         i += 2
-                        changed = True
+                        copied = i
                         continue
-                merged.append(current)
                 i += 1
+            if merged is None:
+                return transfers
+            merged += transfers[copied:]
             transfers = merged
-            if self.config.remove_intra_app and changed:
+            if remove_intra:
                 # A merge can surface a new intra-app transfer
                 # (A -> I -> A); keep the stream clean between passes.
-                transfers = self._remove_intra_app(transfers)
-        return transfers
-
-    @staticmethod
-    def _mergeable(first: AppTransfer, second: AppTransfer, tolerance: float) -> bool:
-        if first.token != second.token:
-            return False
-        if first.receiver is None or first.receiver != second.sender:
-            return False
-        if first.receiver in (first.sender, second.receiver):
-            return False  # not an intermediary hop
-        big = max(first.amount, second.amount)
-        if big == 0:
-            return False
-        return abs(first.amount - second.amount) / big <= tolerance
+                transfers = [
+                    t
+                    for t in transfers
+                    if t.sender is None or t.receiver is None or t.sender != t.receiver
+                ]

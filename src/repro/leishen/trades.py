@@ -82,22 +82,24 @@ class TradeIdentifier:
 
     def identify(self, transfers: list[AppTransfer]) -> list[Trade]:
         transfers = self._strip_fee_burns(transfers)
+        match3 = self._match3
+        match2 = self._match2
         trades: list[Trade] = []
         i = 0
         n = len(transfers)
         while i < n:
-            window3 = transfers[i : i + 3]
-            trade = self._match3(window3) if len(window3) == 3 else None
-            if trade is not None:
-                trades.append(trade)
-                i += 3
-                continue
-            window2 = transfers[i : i + 2]
-            trade = self._match2(window2) if len(window2) == 2 else None
-            if trade is not None:
-                trades.append(trade)
-                i += 2
-                continue
+            if i + 2 < n:
+                trade = match3(transfers[i], transfers[i + 1], transfers[i + 2])
+                if trade is not None:
+                    trades.append(trade)
+                    i += 3
+                    continue
+            if i + 1 < n:
+                trade = match2(transfers[i], transfers[i + 1])
+                if trade is not None:
+                    trades.append(trade)
+                    i += 2
+                    continue
             i += 1
         return trades
 
@@ -126,8 +128,7 @@ class TradeIdentifier:
 
     # -- two-transfer shapes --------------------------------------------------
 
-    def _match2(self, pair: list[AppTransfer]) -> Trade | None:
-        t1, t2 = pair
+    def _match2(self, t1: AppTransfer, t2: AppTransfer) -> Trade | None:
         if t1.sender is None or t1.receiver is None or t2.sender is None or t2.receiver is None:
             return None
         if t1.token == t2.token:
@@ -199,11 +200,15 @@ class TradeIdentifier:
 
     # -- three-transfer shapes ------------------------------------------------------
 
-    def _match3(self, triple: list[AppTransfer]) -> Trade | None:
-        t1, t2, t3 = triple
-        if any(t.sender is None or t.receiver is None for t in triple):
+    def _match3(self, t1: AppTransfer, t2: AppTransfer, t3: AppTransfer) -> Trade | None:
+        # every shape needs three distinct tokens: the cheapest rejection
+        if t1.token == t2.token or t1.token == t3.token or t2.token == t3.token:
             return None
-        if len({t1.token, t2.token, t3.token}) != 3:
+        if (
+            t1.sender is None or t1.receiver is None
+            or t2.sender is None or t2.receiver is None
+            or t3.sender is None or t3.receiver is None
+        ):
             return None
         # Swap with two outputs: A->B, B->A, B->A.
         if (

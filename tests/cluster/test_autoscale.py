@@ -18,20 +18,10 @@ from repro.cluster import ClusterWorker, Coordinator, ElasticPool, run_cluster_s
 from repro.cluster.autoscale import DEFAULT_PROBATION_COOLDOWN
 from repro.cluster.worker import WorkerKilled
 from repro.workload.generator import WildScanConfig, WildScanner
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "truths": [d.truth for d in result.detections],
-        "table5": [(r.pattern, r.n, r.tp, r.fp) for r in result.table5()],
-        "table6": result.table6(),
-        "fig8": result.fig8_months(),
-    }
 
 
 def _config(shards: int = 4) -> WildScanConfig:
@@ -39,7 +29,7 @@ def _config(shards: int = 4) -> WildScanConfig:
 
 
 def _baseline(config: WildScanConfig):
-    return _snapshot(WildScanner(config).run())
+    return fingerprint(WildScanner(config).run())
 
 
 def _wait_for(predicate, timeout: float = 10.0, message: str = "condition"):
@@ -64,7 +54,7 @@ class TestScaleFromZero:
             autoscale_options=dict(poll_interval=0.02),
             worker_factory=lambda i, addr: ClusterWorker(addr, name=f"z-{i}"),
         )
-        assert _snapshot(result) == _baseline(config)
+        assert fingerprint(result) == _baseline(config)
         # demand (4 shards) exceeds max_workers, so the pool fills to the
         # cap in its first tick and never needs more.
         assert stats.workers_spawned == 2
@@ -102,7 +92,7 @@ class TestAcceptanceScenario:
             heartbeat_timeout=5.0,
         )
         assert state["killed"], "the rigged worker never reached its kill point"
-        assert _snapshot(result) == _baseline(config)
+        assert fingerprint(result) == _baseline(config)
         assert stats.worker_losses >= 1
         assert stats.requeues >= 1
         assert stats.workers_excluded >= 1
@@ -155,7 +145,7 @@ class TestScaleDown:
             pool.stop()
             coordinator.shutdown()
 
-        assert _snapshot(result) == _baseline(config)
+        assert fingerprint(result) == _baseline(config)
         assert coordinator.stats.workers_drained >= 2
         # clean drains are not churn: nobody lost, nobody struck
         assert coordinator.stats.worker_losses == 0
@@ -204,7 +194,7 @@ class TestProbation:
             heartbeat_timeout=5.0,
         )
         assert state["failed"]
-        assert _snapshot(result) == _baseline(config)
+        assert fingerprint(result) == _baseline(config)
         assert stats.shard_errors >= 1
         assert stats.workers_excluded >= 1
         assert stats.workers_readmitted >= 1
@@ -249,7 +239,7 @@ class TestProbation:
             max_shard_attempts=10,
             heartbeat_timeout=5.0,
         )
-        assert _snapshot(result) == _baseline(config)
+        assert fingerprint(result) == _baseline(config)
         assert stats.probation_failures >= 1
         # initial exclusion plus at least one probation re-exclusion
         assert stats.workers_excluded >= 2

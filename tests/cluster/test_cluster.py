@@ -28,21 +28,11 @@ from repro.engine.plan import build_schedule, shard_schedule
 from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.wire import shard_result_to_wire
 from repro.workload.generator import WildScanConfig, WildScanner
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
 SHARDS = 4
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "truths": [d.truth for d in result.detections],
-        "table5": [(r.pattern, r.n, r.tp, r.fp) for r in result.table5()],
-        "table6": result.table6(),
-        "fig8": result.fig8_months(),
-    }
 
 
 def _config(shards: int = SHARDS) -> WildScanConfig:
@@ -50,8 +40,8 @@ def _config(shards: int = SHARDS) -> WildScanConfig:
 
 
 @pytest.fixture(scope="module")
-def batch_snapshot():
-    return _snapshot(WildScanner(_config()).run())
+def batch_fingerprint():
+    return fingerprint(WildScanner(_config()).run())
 
 
 def _wait_for(predicate, timeout: float = 10.0, message: str = "condition"):
@@ -64,31 +54,31 @@ def _wait_for(predicate, timeout: float = 10.0, message: str = "condition"):
 
 
 class TestHappyPath:
-    def test_two_workers_identical_to_batch(self, batch_snapshot):
+    def test_two_workers_identical_to_batch(self, batch_fingerprint):
         result, stats = run_cluster_scan(
             _config(),
             workers=2,
             worker_factory=lambda i, addr: ClusterWorker(addr, name=f"w-{i}"),
         )
-        assert _snapshot(result) == batch_snapshot
+        assert fingerprint(result) == batch_fingerprint
         assert stats.workers_seen == 2
         assert stats.assignments == SHARDS
         assert stats.requeues == 0
 
-    def test_worker_count_never_changes_the_result(self, batch_snapshot):
+    def test_worker_count_never_changes_the_result(self, batch_fingerprint):
         for workers in (1, 3):
             result, _ = run_cluster_scan(
                 _config(),
                 workers=workers,
                 worker_factory=lambda i, addr: ClusterWorker(addr, name=f"n-{i}"),
             )
-            assert _snapshot(result) == batch_snapshot
+            assert fingerprint(result) == batch_fingerprint
 
-    def test_process_workers_identical_to_batch(self, batch_snapshot):
+    def test_process_workers_identical_to_batch(self, batch_fingerprint):
         # real OS processes when the environment allows them; silently
         # degrades to threads elsewhere — identical either way.
         result, stats = run_cluster_scan(_config(), workers=2)
-        assert _snapshot(result) == batch_snapshot
+        assert fingerprint(result) == batch_fingerprint
         assert stats.workers_seen == 2
 
     def test_schedule_tails_identical_to_batch(self):
@@ -97,14 +87,14 @@ class TestHappyPath:
         config = WildScanConfig(
             scale=SCALE, seed=SEED, shards=SHARDS, adversarial=6, split_attacks=2
         )
-        reference = _snapshot(ScanEngine(config).run())
+        reference = fingerprint(ScanEngine(config).run())
         result, stats = run_cluster_scan(config, workers=2, use_processes=False)
-        assert _snapshot(result) == reference
+        assert fingerprint(result) == reference
         assert stats.local_fallback_shards == 0
 
 
 class TestKilledWorker:
-    def test_killed_mid_shard_requeues_and_merges_identically(self, batch_snapshot):
+    def test_killed_mid_shard_requeues_and_merges_identically(self, batch_fingerprint):
         state = {"killed": False}
 
         def factory(index: int, address) -> ClusterWorker:
@@ -123,18 +113,18 @@ class TestKilledWorker:
         assert state["killed"], "the rigged worker never reached its kill point"
         assert stats.worker_losses == 1
         assert stats.requeues >= 1
-        assert _snapshot(result) == batch_snapshot
+        assert fingerprint(result) == batch_fingerprint
 
 
 class TestHeartbeatTimeout:
     def test_stalled_worker_requeues_and_late_duplicate_is_suppressed(
-        self, batch_snapshot
+        self, batch_fingerprint
     ):
         """Protocol-level: a stalled worker's shard is speculatively
         requeued, a second worker completes it, and the straggler's late
         result is discarded — not double-merged."""
         config = _config(shards=1)
-        baseline = _snapshot(WildScanner(config).run())
+        batch = WildScanner(config).run()
         tasks = build_schedule(config.scale, config.seed)
         parts = shard_schedule(tasks, 1)
         payload = shard_result_to_wire(run_shard((config, 0, 1, parts[0])))
@@ -193,15 +183,15 @@ class TestHeartbeatTimeout:
                     sock.close()
             coordinator.shutdown()
 
-        assert _snapshot(result) == baseline
+        assert fingerprint(result) == fingerprint(batch)
         assert coordinator.stats.heartbeat_requeues >= 1
         assert coordinator.stats.duplicates_suppressed == 1
         # the merge consumed exactly one copy of the shard
-        assert result.total_transactions == baseline["total"]
+        assert result.total_transactions == batch.total_transactions
 
 
 class TestFailingWorkers:
-    def test_repeatedly_failing_worker_is_excluded(self, batch_snapshot):
+    def test_repeatedly_failing_worker_is_excluded(self, batch_fingerprint):
         def factory(index: int, address) -> ClusterWorker:
             def explode(worker, shard, task):
                 raise ValueError(f"worker {index} refuses shard {shard}")
@@ -219,7 +209,7 @@ class TestFailingWorkers:
         assert stats.workers_excluded == 1
         assert stats.shard_errors >= 2
         assert stats.requeues >= 2
-        assert _snapshot(result) == batch_snapshot
+        assert fingerprint(result) == batch_fingerprint
 
     def test_poisoned_shard_aborts_after_bounded_retries(self):
         def factory(index: int, address) -> ClusterWorker:
@@ -246,7 +236,7 @@ class TestNoWorkersLeft:
 
         return ClusterWorker(address, name=f"d-{index}", task_hook=die_instantly)
 
-    def test_local_fallback_completes_the_run(self, batch_snapshot):
+    def test_local_fallback_completes_the_run(self, batch_fingerprint):
         result, stats = run_cluster_scan(
             _config(),
             workers=1,
@@ -256,7 +246,7 @@ class TestNoWorkersLeft:
         )
         assert stats.workers_excluded == 1
         assert stats.local_fallback_shards == SHARDS
-        assert _snapshot(result) == batch_snapshot
+        assert fingerprint(result) == batch_fingerprint
 
     def test_without_fallback_the_run_fails_loudly(self):
         with pytest.raises(ClusterError, match="no workers left"):
@@ -369,7 +359,7 @@ class TestParkedWorker:
         late requeued shard, drains the buffered heartbeats afterwards,
         and the stats stay churn-free after the clean drain."""
         config = _config(shards=2)
-        baseline = _snapshot(WildScanner(config).run())
+        baseline = fingerprint(WildScanner(config).run())
         tasks = build_schedule(config.scale, config.seed)
         parts = shard_schedule(tasks, 2)
         payloads = {
@@ -453,7 +443,7 @@ class TestParkedWorker:
                     sock.close()
             coordinator.shutdown()
 
-        assert _snapshot(result) == baseline
+        assert fingerprint(result) == baseline
         assert coordinator.stats.shard_errors == 1
         # churn-free after the clean drain: no losses, no exclusions
         assert coordinator.stats.worker_losses == 0

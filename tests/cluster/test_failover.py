@@ -33,7 +33,7 @@ from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.wire import shard_result_to_wire
 from repro.runtime import RunLedger
 from repro.workload.generator import WildScanConfig
-from tests.runtime.test_ledger import _fingerprint
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
@@ -44,14 +44,6 @@ DELAY = 0.01
 
 def _config() -> WildScanConfig:
     return WildScanConfig(scale=SCALE, seed=SEED, shards=SHARDS)
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "rows": {name: (r.n, r.tp, r.fp) for name, r in result.rows.items()},
-    }
 
 
 def _dead_address() -> tuple[str, int]:
@@ -143,7 +135,7 @@ class TestWorkerMultiAddress:
             result = coordinator.run(timeout=120.0)
             worker.stop()
             thread.join(timeout=10.0)
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
         assert box and box[0].failovers >= 1
         assert box[0].shards_completed >= 1  # the live address did the work
 
@@ -175,7 +167,7 @@ class TestWorkerMultiAddress:
             result = coordinator.run(timeout=120.0)
             worker.stop()
             thread.join(timeout=10.0)
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
         assert standby_address in worker.addresses
 
 
@@ -231,7 +223,7 @@ class TestAdoption:
             result = standby.adopt_and_run(timeout=2.0)
             assert standby.stats.resumed_shards == 2
             assert standby.stats.local_fallback_shards == 2
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
 
     def test_adoption_of_compacted_journal(self, tmp_path, cold_result, outcomes):
         """Adoption works when the dead primary had compacted: the
@@ -256,7 +248,7 @@ class TestAdoption:
             assert standby.wait_for_primary_death(timeout=30.0)
             result = standby.adopt_and_run(timeout=2.0)
             assert standby.stats.resumed_shards == 3
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
 
     def test_double_adopt_raises(self, tmp_path, outcomes):
         path = tmp_path / "run.ledger"
@@ -327,7 +319,7 @@ class TestAdoption:
             result = coordinator.run(timeout=2.0)
         finally:
             coordinator.shutdown()
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
         assert coordinator.stats.resumed_shards == 1
         # the journal grew only the genuinely new shards — no duplicate.
         after = RunLedger.open(path, config=_config(), shard_count=SHARDS)
@@ -378,7 +370,7 @@ class TestLiveFailover:
             for _, thread, _ in fleet:
                 thread.join(timeout=10.0)
             standby.shutdown()
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
         # at least one worker must have actually moved coordinators,
         # unless the adopted run resumed everything from the journal.
         if standby.stats.resumed_shards < SHARDS:
@@ -462,4 +454,4 @@ class TestSigkillFailover:
             if child.is_alive():  # pragma: no cover
                 child.terminate()
                 child.join(timeout=5.0)
-        assert _fingerprint(result) == _fingerprint(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)

@@ -21,21 +21,10 @@ from repro.engine import (
     shard_seed,
 )
 from repro.workload.generator import WildScanConfig, WildScanner
-from tests.runtime.test_ledger import _fingerprint
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "table5": [(r.pattern, r.n, r.tp, r.fp) for r in result.table5()],
-        "table6": result.table6(),
-        "table7": result.table7(),
-        "fig8": result.fig8_months(),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +39,7 @@ def parallel_result():
 
 class TestJobsDeterminism:
     def test_results_identical_across_jobs(self, sequential_result, parallel_result):
-        assert _snapshot(sequential_result) == _snapshot(parallel_result)
+        assert fingerprint(sequential_result) == fingerprint(parallel_result)
 
     def test_detection_hashes_unique_across_shards(self, parallel_result):
         hashes = [d.tx_hash for d in parallel_result.detections]
@@ -68,7 +57,7 @@ class TestJobsDeterminism:
         # more workers than shards is fine — still identical
         one = WildScanner(WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=2)).run()
         many = WildScanner(WildScanConfig(scale=SCALE, seed=SEED, jobs=16, shards=2)).run()
-        assert _snapshot(one) == _snapshot(many)
+        assert fingerprint(one) == fingerprint(many)
 
 
 class TestShardPlumbing:
@@ -116,7 +105,7 @@ class TestProfiledScan:
         )
         engine = ScanEngine(config)
         profiled = engine.run()
-        assert _fingerprint(profiled) == _fingerprint(sequential_result)
+        assert fingerprint(profiled) == fingerprint(sequential_result)
         counters = engine.profile["counters"]
         assert counters["transactions"] == profiled.total_transactions
         assert counters["shards_profiled"] == 4
@@ -275,7 +264,7 @@ class TestAdversarialTail:
         from repro.engine.stream import StreamEngine
 
         streamed = StreamEngine(adversarial_config, block_size=16).run()
-        assert _snapshot(streamed.result) == _snapshot(adversarial_batch)
+        assert fingerprint(streamed.result) == fingerprint(adversarial_batch)
 
     def test_paper_default_scan_ignores_tail_families(self):
         config = WildScanConfig(scale=SCALE, seed=SEED, shards=4, adversarial=6)

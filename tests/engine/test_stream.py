@@ -23,19 +23,10 @@ from repro.engine import (
 from repro.engine.stream import BlockStats, StreamResult
 from repro.workload.generator import WildScanConfig, WildScanner
 from repro.workload.timeline import STUDY_FIRST_BLOCK, STUDY_LAST_BLOCK
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "table5": [(r.pattern, r.n, r.tp, r.fp) for r in result.table5()],
-        "table6": result.table6(),
-        "fig8": result.fig8_months(),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +42,12 @@ def streamed():
 
 class TestStreamIdentity:
     def test_stream_equals_batch(self, batch_result, streamed):
-        assert _snapshot(streamed.result) == _snapshot(batch_result)
+        assert fingerprint(streamed.result) == fingerprint(batch_result)
 
     def test_stream_identical_across_jobs(self, streamed):
         config = WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=4)
         single = StreamEngine(config, queue_depth=16, block_size=16).run()
-        assert _snapshot(single.result) == _snapshot(streamed.result)
+        assert fingerprint(single.result) == fingerprint(streamed.result)
 
 
 class TestStreamMechanics:

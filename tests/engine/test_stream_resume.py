@@ -16,6 +16,7 @@ from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.stream import StreamEngine
 from repro.runtime import RunLedger
 from repro.workload.generator import WildScanConfig
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
@@ -24,14 +25,6 @@ SHARDS = 4
 
 def _config(jobs: int = 2) -> WildScanConfig:
     return WildScanConfig(scale=SCALE, seed=SEED, jobs=jobs, shards=SHARDS)
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "rows": {name: (r.n, r.tp, r.fp) for name, r in result.rows.items()},
-    }
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +37,7 @@ class TestStreamLedger:
         engine = StreamEngine(_config(), ledger=tmp_path / "s.ledger")
         streamed = engine.run()
         assert engine.ledger.recorded_count == SHARDS
-        assert _snapshot(streamed.result) == _snapshot(cold_result)
+        assert fingerprint(streamed.result) == fingerprint(cold_result)
 
     def test_partial_ledger_resumes_identical(self, tmp_path, cold_result):
         cfg = _config()
@@ -59,7 +52,7 @@ class TestStreamLedger:
         streamed = engine.run()
         assert engine.ledger.resumed_count == 2
         assert engine.ledger.recorded_count == 2
-        assert _snapshot(streamed.result) == _snapshot(cold_result)
+        assert fingerprint(streamed.result) == fingerprint(cold_result)
         # journaled shards never entered the pipeline: every streamed
         # block only carries the two remaining shards' transactions.
         streamed_txs = sum(stats.transactions for stats in streamed.blocks)
@@ -76,7 +69,7 @@ class TestStreamLedger:
         assert engine.ledger.resumed_count == SHARDS
         assert engine.ledger.recorded_count == 0
         assert streamed.blocks == []
-        assert _snapshot(streamed.result) == _snapshot(cold_result)
+        assert fingerprint(streamed.result) == fingerprint(cold_result)
 
     def test_ledger_rejected_with_custom_source(self, tmp_path):
         engine = StreamEngine(_config(), ledger=tmp_path / "s.ledger")

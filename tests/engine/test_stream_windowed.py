@@ -16,19 +16,11 @@ from repro.engine.stream import StreamEngine
 from repro.leishen.window import windowed_recall
 from repro.workload.attacks import SPLIT_ATTACK_SPECS, split_spec_of
 from repro.workload.generator import WildScanConfig, WildScanner
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
 SPLITS = 2
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "table5": [(r.pattern, r.n, r.tp, r.fp) for r in result.table5()],
-        "table6": result.table6(),
-    }
 
 
 def _config(jobs=1, shards=4, splits=SPLITS):
@@ -51,7 +43,7 @@ def windowed_run():
 class TestPerTxIdentity:
     def test_windowed_off_equals_batch(self, batch_result):
         streamed = StreamEngine(_config(jobs=2), block_size=16).run()
-        assert _snapshot(streamed.result) == _snapshot(batch_result)
+        assert fingerprint(streamed.result) == fingerprint(batch_result)
         assert streamed.windowed is None
         assert streamed.window_blocks == 0
 
@@ -59,13 +51,13 @@ class TestPerTxIdentity:
         self, batch_result, windowed_run
     ):
         streamed, _ = windowed_run
-        assert _snapshot(streamed.result) == _snapshot(batch_result)
+        assert fingerprint(streamed.result) == fingerprint(batch_result)
 
     def test_windowed_detections_identical_across_jobs(self, windowed_run):
         streamed, _ = windowed_run
         single = StreamEngine(_config(jobs=1), block_size=16, windowed=True).run()
         assert single.windowed == streamed.windowed
-        assert _snapshot(single.result) == _snapshot(streamed.result)
+        assert fingerprint(single.result) == fingerprint(streamed.result)
 
     def test_windowed_detections_stable_under_smaller_blocks(self, windowed_run):
         streamed, _ = windowed_run

@@ -17,6 +17,7 @@ from repro.engine.plan import build_schedule, resolve_shard_count, shard_schedul
 from repro.engine.wire import WIRE_VERSION, config_digest, shard_result_to_wire
 from repro.runtime import LEDGER_VERSION, LedgerError, RunLedger, ensure_ledger
 from repro.workload.generator import WildScanConfig
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
@@ -339,23 +340,6 @@ class TestDirectoryFsync:
         assert synced == [path.parent]
 
 
-def _fingerprint(result) -> str:
-    """Canonical bytes of a merged result (what byte-identity means)."""
-    from repro.engine.wire import detection_to_wire
-
-    return json.dumps(
-        {
-            "total_transactions": result.total_transactions,
-            "detections": [detection_to_wire(d) for d in result.detections],
-            "rows": {
-                name: (row.n, row.tp, row.fp)
-                for name, row in sorted(result.rows.items())
-            },
-        },
-        sort_keys=True,
-    )
-
-
 class TestCompaction:
     def test_compact_folds_prefix_and_rotates(self, tmp_path, config, outcomes):
         path = tmp_path / "run.ledger"
@@ -414,13 +398,13 @@ class TestCompaction:
             compacted.record(outcome)
             compacted.compact()  # fold after every record: worst case
         assert compacted.generation == 4
-        assert _fingerprint(compacted.merge()) == _fingerprint(plain.merge())
+        assert fingerprint(compacted.merge()) == fingerprint(plain.merge())
         # and the identity survives a reopen of the rotated file
         compacted.close()
         replay = RunLedger.open(
             tmp_path / "compacted.ledger", config=config, shard_count=4
         )
-        assert _fingerprint(replay.merge()) == _fingerprint(plain.merge())
+        assert fingerprint(replay.merge()) == fingerprint(plain.merge())
 
     def test_compact_extends_existing_snapshot(self, tmp_path, config, outcomes):
         path = tmp_path / "run.ledger"
@@ -437,7 +421,7 @@ class TestCompaction:
         ledger.record(outcomes[3])
         from repro.engine.scan import merge_shard_results
 
-        assert _fingerprint(ledger.merge()) == _fingerprint(
+        assert fingerprint(ledger.merge()) == fingerprint(
             merge_shard_results(config, outcomes)
         )
 
@@ -464,7 +448,7 @@ class TestCompaction:
         assert ledger.is_complete
         from repro.engine.scan import merge_shard_results
 
-        assert _fingerprint(ledger.merge()) == _fingerprint(
+        assert fingerprint(ledger.merge()) == fingerprint(
             merge_shard_results(config, outcomes)
         )
 
@@ -541,7 +525,7 @@ class TestCompactionCrashWindows:
             resumed.record(outcome)
         from repro.engine.scan import merge_shard_results
 
-        assert _fingerprint(resumed.merge()) == _fingerprint(
+        assert fingerprint(resumed.merge()) == fingerprint(
             merge_shard_results(config, outcomes)
         )
 

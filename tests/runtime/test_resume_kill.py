@@ -20,6 +20,7 @@ import pytest
 from repro.engine.scan import ScanEngine
 from repro.runtime import RunLedger
 from repro.workload.generator import WildScanConfig
+from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
@@ -35,14 +36,6 @@ pytestmark = pytest.mark.skipif(
 
 def _config() -> WildScanConfig:
     return WildScanConfig(scale=SCALE, seed=SEED, shards=SHARDS)
-
-
-def _snapshot(result):
-    return {
-        "total": result.total_transactions,
-        "hashes": [d.tx_hash for d in result.detections],
-        "rows": {name: (r.n, r.tp, r.fp) for name, r in result.rows.items()},
-    }
 
 
 def _journaled_shards(path) -> int:
@@ -158,7 +151,7 @@ class TestBatchKillResume:
         resumed = engine.run()
         assert engine.ledger.resumed_count == journaled
         assert engine.ledger.recorded_count == SHARDS - journaled
-        assert _snapshot(resumed) == _snapshot(cold_result)
+        assert fingerprint(resumed) == fingerprint(cold_result)
 
     def test_second_resume_schedules_nothing(self, tmp_path, cold_result):
         path = tmp_path / "batch.ledger"
@@ -169,7 +162,7 @@ class TestBatchKillResume:
         result = engine.run()
         assert engine.ledger.resumed_count == SHARDS
         assert engine.ledger.recorded_count == 0
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
 
 
 class TestCompactingKillResume:
@@ -192,14 +185,14 @@ class TestCompactingKillResume:
         resumed = engine.run()
         assert engine.ledger.resumed_count == journaled
         assert engine.ledger.recorded_count == SHARDS - journaled
-        assert _snapshot(resumed) == _snapshot(cold_result)
+        assert fingerprint(resumed) == fingerprint(cold_result)
 
     def test_resumed_run_can_keep_compacting(self, tmp_path, cold_result):
         path = tmp_path / "compacting.ledger"
         _run_child_until_first_shard(_slow_compacting_batch_main, path)
         ledger = RunLedger.for_config(path, _config(), compact_every=1)
         resumed = ScanEngine(_config(), ledger=ledger).run()
-        assert _snapshot(resumed) == _snapshot(cold_result)
+        assert fingerprint(resumed) == fingerprint(cold_result)
         ledger.close()
         replay = RunLedger.open(path, config=_config(), shard_count=SHARDS)
         assert replay.is_complete
@@ -218,13 +211,13 @@ class TestClusterKillResume:
 
         result, stats = run_cluster_scan(_config(), workers=2, ledger=path)
         assert stats.resumed_shards == journaled
-        assert _snapshot(result) == _snapshot(cold_result)
+        assert fingerprint(result) == fingerprint(cold_result)
 
         # the finished journal now resumes with zero assignments.
         result2, stats2 = run_cluster_scan(_config(), workers=2, ledger=path)
         assert stats2.resumed_shards == SHARDS
         assert stats2.assignments == 0
-        assert _snapshot(result2) == _snapshot(cold_result)
+        assert fingerprint(result2) == fingerprint(cold_result)
 
     def test_late_duplicate_after_resume_is_suppressed(
         self, tmp_path, cold_result
