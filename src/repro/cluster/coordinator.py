@@ -112,35 +112,6 @@ class ClusterStats:
     #: (``None`` otherwise; observability only, never result identity).
     profile: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "workers_seen": self.workers_seen,
-            "assignments": self.assignments,
-            "requeues": self.requeues,
-            "heartbeat_requeues": self.heartbeat_requeues,
-            "worker_losses": self.worker_losses,
-            "shard_errors": self.shard_errors,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "workers_excluded": self.workers_excluded,
-            "local_fallback_shards": self.local_fallback_shards,
-            "workers_spawned": self.workers_spawned,
-            "workers_drained": self.workers_drained,
-            "workers_readmitted": self.workers_readmitted,
-            "probation_passes": self.probation_passes,
-            "probation_failures": self.probation_failures,
-            "resumed_shards": self.resumed_shards,
-            "profile": self.profile,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClusterStats":
-        """Rebuild stats from :meth:`to_dict` output."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown ClusterStats fields: {sorted(unknown)}")
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
 class CapacitySnapshot:
@@ -179,36 +150,6 @@ class CapacitySnapshot:
     @property
     def finished(self) -> bool:
         return self.failed or self.completed == self.shard_count
-
-    def to_dict(self) -> dict:
-        """JSON-safe view (scaling-policy logs)."""
-        return {
-            "shard_count": self.shard_count,
-            "completed": self.completed,
-            "pending": self.pending,
-            "running": self.running,
-            "live_workers": list(self.live_workers),
-            "idle_workers": list(self.idle_workers),
-            "retiring_workers": list(self.retiring_workers),
-            "excluded_ages": dict(self.excluded_ages),
-            "stopping": self.stopping,
-            "failed": self.failed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CapacitySnapshot":
-        """Rebuild a snapshot from :meth:`to_dict` output."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown CapacitySnapshot fields: {sorted(unknown)}")
-        missing = known - set(payload)
-        if missing:
-            raise ValueError(f"missing CapacitySnapshot fields: {sorted(missing)}")
-        payload = dict(payload)
-        for key in ("live_workers", "idle_workers", "retiring_workers"):
-            payload[key] = tuple(payload[key])
-        return cls(**payload)
 
 
 @dataclass(slots=True)

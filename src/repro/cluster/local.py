@@ -1,7 +1,7 @@
 """Single-machine cluster runs: spawn local workers, run, merge.
 
-``experiments cluster --workers N`` and the service's cluster backend
-use this module: a coordinator on a loopback ephemeral port plus ``N``
+``experiments cluster --workers N`` uses this module: a coordinator on
+a loopback ephemeral port plus ``N``
 worker *processes* (fork start method when available). Environments
 that deny process spawning degrade to worker *threads* — byte-identical
 results either way, because the partition and merge never depend on

@@ -165,10 +165,6 @@ class StandbyCoordinator:
 
     # -- follower phase --------------------------------------------------
 
-    @property
-    def primary_dead(self) -> bool:
-        return self._primary_dead.is_set()
-
     def wait_for_primary_death(self, timeout: float | None = None) -> bool:
         """Block until the probe declares the primary dead (or timeout)."""
         return self._primary_dead.wait(timeout)

@@ -25,7 +25,6 @@ from .stream import (
     StreamBlock,
     StreamEngine,
     StreamResult,
-    blocks_from_explorer,
     schedule_block_stream,
     screen_blocks,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ScanEngine",
     "ShardResult",
     "merge_shard_results",
-    "blocks_from_explorer",
     "config_to_wire",
     "config_from_wire",
     "shard_result_to_wire",

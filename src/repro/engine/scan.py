@@ -38,8 +38,6 @@ from ..world import DeFiWorld, ETHEREUM_PROFILE
 from ..workload.attacks import ADVERSARIAL_CLUSTERS, ATTACK_CLUSTERS
 from ..workload.profiles import (
     BENIGN_PROFILES,
-    GroundTruth,
-    LabeledTrace,
     profile_migration,
     profile_yield_strategy,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "ScanEngine",
     "ShardContext",
     "ShardResult",
-    "build_replay_context",
     "build_shard_context",
     "detect_task",
     "execute_task",
@@ -168,49 +165,13 @@ def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext
     )
 
 
-def build_replay_context(cfg, shard_index: int, detector) -> ShardContext:
-    """A slim shard context for replaying recorded history.
-
-    Replay shards carry no generated world: ``("replay", trace)`` tasks
-    only run detection, against a ``detector`` the caller built over the
-    chain that recorded the traces (a fresh world's tagger would not know
-    that chain's labels). Recorded history has no ground truth, so replay
-    detections count as unverified in the Table V rows.
-    """
-    from ..leishen.heuristics import YieldAggregatorHeuristic
-    from ..leishen.registry import enabled_pattern_keys
-    from ..workload.generator import PatternRow
-
-    return ShardContext(
-        cfg=cfg,
-        shard_index=shard_index,
-        market=None,
-        injector=None,
-        detector=detector,
-        heuristic=YieldAggregatorHeuristic(detector.tagger),
-        analyzer=None,
-        result=ShardResult(shard_index=shard_index),
-        rows={
-            name: PatternRow(name)
-            for name in enabled_pattern_keys(cfg.pattern_config)
-        },
-    )
-
-
 def execute_task(ctx: ShardContext, task: Task):
     """Execute one schedule task against the shard's world.
 
     Returns the labeled transaction, or ``None`` when it reverted; either
     way the transaction counts toward the shard's population.
-    ``("replay", trace)`` tasks carry an already-executed transaction and
-    only need labeling for the detection step.
     """
     kind = task[0]
-    if kind == "replay":
-        ctx.result.total_transactions += 1
-        return LabeledTrace(
-            trace=task[1], truth=GroundTruth(is_attack=False, profile="replay")
-        )
     try:
         if kind == "attack":
             _, cluster_index, attacker_id, contract_id, asset_id, month = task

@@ -25,8 +25,9 @@ merged :class:`~repro.workload.generator.WildScanResult` is byte-identical
 to ``ScanEngine.run()`` for the same ``(seed, scale, shards)``; streaming
 only changes *when* results become visible, never *what* they are.
 
-Replay of recorded history (the live-monitor deployment mode) uses
-:func:`screen_blocks` over :meth:`~repro.chain.explorer.ChainExplorer.blocks_between`.
+Recorded history (the live-monitor deployment mode) replays through
+:func:`screen_blocks` over :meth:`~repro.chain.explorer.ChainExplorer.blocks_between`,
+one detector over the chain that recorded it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from ..workload.timeline import study_block_height
 from .plan import Task, shard_of
 from .scan import (
     ShardResult,
-    build_replay_context,
     build_shard_context,
     detect_task,
     execute_task,
@@ -64,7 +64,6 @@ __all__ = [
     "StreamEngine",
     "StreamResult",
     "ScreenedTransaction",
-    "blocks_from_explorer",
     "schedule_block_stream",
     "screen_blocks",
     "DEFAULT_QUEUE_DEPTH",
@@ -169,37 +168,6 @@ def schedule_block_stream(
         yield StreamBlock(number=study_block_height(start, total), entries=entries)
 
 
-def blocks_from_explorer(
-    explorer, first_block: int, last_block: int
-) -> Iterator[StreamBlock]:
-    """Recorded chain history as a ``StreamBlock`` source.
-
-    Adapts :meth:`~repro.chain.explorer.ChainExplorer.blocks_between` to
-    the streaming engine's block protocol: every recorded transaction
-    becomes a ``("replay", trace)`` entry, positions increase globally
-    across blocks (the watermark merger's invariant), and empty blocks
-    are dropped. Pair it with ``StreamEngine.run(source=...,
-    detector_factory=...)`` so replayed history flows through the sharded
-    pipeline instead of the single-detector :func:`screen_blocks` path::
-
-        explorer = ChainExplorer(world.chain)
-        source = blocks_from_explorer(explorer, first, last)
-        StreamEngine(config).run(
-            source=source, detector_factory=world.detector
-        )
-    """
-    position = 0
-    for number, traces in explorer.blocks_between(first_block, last_block):
-        if not traces:
-            continue
-        entries = tuple(
-            (position + offset, ("replay", trace))
-            for offset, trace in enumerate(traces)
-        )
-        position += len(traces)
-        yield StreamBlock(number=number, entries=entries)
-
-
 # ---------------------------------------------------------------------------
 # merger bookkeeping
 # ---------------------------------------------------------------------------
@@ -262,8 +230,6 @@ class StreamEngine:
         self,
         source: Iterable[StreamBlock] | None = None,
         on_block: Callable[[BlockStats, list], None] | None = None,
-        detector_factory: Callable[[], object] | None = None,
-        on_windowed: Callable[[WindowedDetection], None] | None = None,
     ) -> StreamResult:
         """Consume the block stream; return the merged result and counters.
 
@@ -271,12 +237,9 @@ class StreamEngine:
         moment its watermark passes: ``on_block(stats, detections)`` with
         the block's detections in schedule order — the live alerting hook.
 
-        ``detector_factory`` switches the workers into replay mode for a
-        recorded-history ``source`` (see :func:`blocks_from_explorer`):
-        each shard detects with a fresh ``detector_factory()`` — built
-        over the chain that recorded the traces — instead of generating a
-        world of its own. Replay sources must contain only ``("replay",
-        trace)`` entries.
+        ``source`` defaults to the canonical schedule as a block stream
+        (:func:`schedule_block_stream`); a custom source carries entries
+        of that same schedule, paced or regrouped by the caller.
 
         With a ``ledger`` (constructor argument), shards already
         journaled by a previous run are skipped entirely — their
@@ -291,8 +254,7 @@ class StreamEngine:
         With ``windowed=True`` (constructor argument) the merger also
         feeds each emitted block's flash-loan observations to a
         :class:`~repro.leishen.window.WindowedMatcher`; cross-transaction
-        matches land in ``StreamResult.windowed`` in block-emission order
-        and ``on_windowed`` (merger thread) observes each as it fires.
+        matches land in ``StreamResult.windowed`` in block-emission order.
         Windowed matching never changes the per-transaction result — the
         bytes of ``StreamResult.result`` are identical with windowing on
         or off. A ledger-resumed windowed run only observes the shards it
@@ -300,12 +262,10 @@ class StreamEngine:
         journaled.
         """
         cfg = self.config
-        if self._ledger_spec is not None and (
-            source is not None or detector_factory is not None
-        ):
+        if self._ledger_spec is not None and source is not None:
             raise ValueError(
                 "ledger journaling requires the canonical schedule stream; "
-                "custom source/detector_factory runs cannot be journaled"
+                "custom source runs cannot be journaled"
             )
         tasks, shard_count, ledger, done_shards = open_shards(cfg, self._ledger_spec)
         self.ledger = ledger
@@ -343,12 +303,7 @@ class StreamEngine:
                 try:
                     ctx = contexts.get(shard)
                     if ctx is None:
-                        if detector_factory is not None:
-                            ctx = build_replay_context(
-                                cfg, shard, detector_factory()
-                            )
-                        else:
-                            ctx = build_shard_context(cfg, shard, shard_count)
+                        ctx = build_shard_context(cfg, shard, shard_count)
                         contexts[shard] = ctx
                     started = time.perf_counter()
                     before = len(ctx.result.detections)
@@ -386,10 +341,7 @@ class StreamEngine:
             # windowed matching rides the watermark pass: observations
             # arrive in block order with in-block schedule order, so the
             # windowed emission is as deterministic as the merge itself.
-            for detection in matcher.observe_block(block.number, observations):
-                windowed_out.append(detection)
-                if on_windowed is not None:
-                    on_windowed(detection)
+            windowed_out.extend(matcher.observe_block(block.number, observations))
 
         def merger() -> None:
             open_blocks: deque[_OpenBlock] = deque()
@@ -541,9 +493,7 @@ class ScreenedTransaction:
 
 
 def screen_blocks(
-    detector,
-    blocks: Iterable[tuple[int, Sequence]],
-    on_alert: Callable[[ScreenedTransaction], None] | None = None,
+    detector, blocks: Iterable[tuple[int, Sequence]]
 ) -> Iterator[ScreenedTransaction]:
     """Screen recorded blocks — ``(number, traces)`` pairs, e.g. from
     :meth:`~repro.chain.explorer.ChainExplorer.blocks_between` — through a
@@ -555,9 +505,5 @@ def screen_blocks(
             started = time.perf_counter()
             report = detector.analyze(trace)
             latency_ms = (time.perf_counter() - started) * 1e3
-            if report is None:
-                continue
-            screened = ScreenedTransaction(number, report, latency_ms)
-            if on_alert is not None and screened.is_attack:
-                on_alert(screened)
-            yield screened
+            if report is not None:
+                yield ScreenedTransaction(number, report, latency_ms)

@@ -114,6 +114,18 @@ def _summary_lines(result, stats, elapsed: float, workers_label: str) -> list[st
     return lines
 
 
+def _identity(result) -> tuple:
+    """What byte identity compares: the total, every detection's full
+    wire form and the Table V rows."""
+    from ..engine.wire import detection_to_wire
+
+    return (
+        result.total_transactions,
+        [detection_to_wire(d) for d in result.detections],
+        {name: (row.n, row.tp, row.fp) for name, row in result.rows.items()},
+    )
+
+
 def render_local(
     scale: float = 0.1,
     seed: int = 7,
@@ -144,12 +156,7 @@ def render_local(
         batch = WildScanner(
             WildScanConfig(scale=scale, seed=seed, shards=shards)
         ).run()
-        identical = (
-            [d.tx_hash for d in batch.detections]
-            == [d.tx_hash for d in result.detections]
-            and batch.total_transactions == result.total_transactions
-        )
-        if not identical:
+        if _identity(batch) != _identity(result):
             raise AssertionError(
                 "identity violation: cluster scan diverged from ScanEngine.run()"
             )

@@ -243,13 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         "are rejected loudly instead of piling up (default 16)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("batch", "stream", "cluster"),
-        default=None,
-        help="serve: default execution backend for admitted runs; "
-        "submit: backend for this run (default: the server's)",
-    )
-    parser.add_argument(
         "--address",
         metavar="HOST:PORT",
         default="127.0.0.1:9744",
@@ -442,13 +435,11 @@ def main(argv: list[str] | None = None) -> int:
             output = service.render_serve(
                 args.data_dir, host, port,
                 executors=args.executors, max_queue=args.max_queue,
-                backend=args.backend or "batch", cluster_workers=args.workers,
             )
         elif args.experiment == "submit":
             output = service.render_submit(
                 args.address, scale=scale, seed=args.seed, shards=args.shards,
-                backend=args.backend, jobs=args.jobs,
-                wait=args.wait, timeout=args.timeout,
+                jobs=args.jobs, wait=args.wait, timeout=args.timeout,
             )
         elif args.experiment == "status":
             output = service.render_status(args.address, run_id=args.run_id)

@@ -45,8 +45,6 @@ def render_serve(
     *,
     executors: int = 2,
     max_queue: int = 16,
-    backend: str = "batch",
-    cluster_workers: int = 2,
     run_seconds: float | None = None,
     stop_event=None,
 ) -> str:
@@ -60,13 +58,7 @@ def render_serve(
     """
     from ..service import ScanService, ServiceServer
 
-    service = ScanService(
-        data_dir,
-        executors=executors,
-        max_queue=max_queue,
-        default_backend=backend,
-        cluster_workers=cluster_workers,
-    )
+    service = ScanService(data_dir, executors=executors, max_queue=max_queue)
     lines = []
     with service:
         adopted = service.counters["adopted_resuming"]
@@ -76,7 +68,7 @@ def render_serve(
             print(
                 f"scan service on {bound_host}:{bound_port} "
                 f"(data dir {service.registry.data_dir}, "
-                f"{executors} executor(s), backend {backend})",
+                f"{executors} executor(s))",
                 flush=True,
             )
             if adopted or readopted:
@@ -110,7 +102,6 @@ def render_submit(
     seed: int = 7,
     shards: int | None = None,
     *,
-    backend: str | None = None,
     jobs: int = 1,
     wait: bool = False,
     timeout: float | None = None,
@@ -120,7 +111,7 @@ def render_submit(
 
     config = WildScanConfig(scale=scale, seed=seed, shards=shards)
     with ServiceClient(parse_address(address)) as client:
-        run = client.submit(config, backend=backend, jobs=jobs)
+        run = client.submit(config, jobs=jobs)
         lines = [_run_line(run)]
         if run["coalesced"]:
             lines.append(
@@ -198,7 +189,7 @@ def render_results(
 
 
 def _run_line(view: dict) -> str:
-    parts = [f"{view['run_id']}  {view['state']:<9}  backend={view['backend']}"]
+    parts = [f"{view['run_id']}  {view['state']:<9}"]
     if view.get("queue_position"):
         parts.append(f"queue#{view['queue_position']}")
     if view.get("adopted"):

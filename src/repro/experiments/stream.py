@@ -11,33 +11,7 @@ from __future__ import annotations
 from ..engine.stream import DEFAULT_WINDOW_BLOCKS, StreamEngine, StreamResult
 from ..workload.generator import WildScanConfig
 
-__all__ = ["DEFAULT_WINDOW_BLOCKS", "run", "run_with_engine", "render"]
-
-
-def run(
-    scale: float = 0.1,
-    seed: int = 7,
-    jobs: int = 1,
-    shards: int | None = None,
-    queue_depth: int | None = None,
-    block_size: int | None = None,
-    ledger=None,
-    compact_every: int | None = None,
-    profile: bool = False,
-    windowed: bool = False,
-    window_blocks: int | None = None,
-    split_attacks: int = 0,
-) -> StreamResult:
-    """``ledger`` (path or open RunLedger) journals shard results at end
-    of stream and skips already-journaled shards on resume; use
-    :func:`run_with_engine` when the resume/record counters are needed."""
-    return run_with_engine(
-        scale=scale, seed=seed, jobs=jobs, shards=shards,
-        queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-        compact_every=compact_every, profile=profile,
-        windowed=windowed, window_blocks=window_blocks,
-        split_attacks=split_attacks,
-    )[0]
+__all__ = ["DEFAULT_WINDOW_BLOCKS", "run_with_engine", "render"]
 
 
 def run_with_engine(
@@ -54,6 +28,11 @@ def run_with_engine(
     window_blocks: int | None = None,
     split_attacks: int = 0,
 ) -> tuple[StreamResult, StreamEngine]:
+    """Run the streaming scan; returns the result and the engine.
+
+    ``ledger`` (path or open RunLedger) journals shard results at end
+    of stream and skips already-journaled shards on resume; the
+    engine's ``ledger`` carries the resume/record counters."""
     config = WildScanConfig(
         scale=scale, seed=seed, jobs=jobs, shards=shards,
         profile=profile, split_attacks=split_attacks,

@@ -641,14 +641,6 @@ class RunLedger:
         # never re-adds a compacted shard; open drops prefix duplicates).
         return self.snapshot_shards + len(self._payloads)
 
-    def completed_results(self) -> dict[int, ShardResult]:
-        """Individually journaled shards decoded back to
-        :class:`ShardResult` (excludes the compacted snapshot prefix)."""
-        return {
-            shard: shard_result_from_wire(payload)
-            for shard, payload in self._payloads.items()
-        }
-
     def remaining(self) -> list[int]:
         """Shard indices still missing from the journal, ascending."""
         done = self.completed_shards()

@@ -87,14 +87,11 @@ class ServiceClient:
     def ping(self) -> bool:
         return bool(self.request("ping").get("ok"))
 
-    def submit(self, config, *, backend: str | None = None, jobs: int = 1) -> dict:
+    def submit(self, config, *, jobs: int = 1) -> dict:
         """Submit a scan config; returns the run view (with
         ``coalesced`` folded in so callers see dedup happen)."""
         wire = config if isinstance(config, dict) else config_to_wire(config)
-        fields: dict = {"config": wire, "jobs": jobs}
-        if backend is not None:
-            fields["backend"] = backend
-        response = self.request("submit", **fields)
+        response = self.request("submit", config=wire, jobs=jobs)
         run = response["run"]
         run["coalesced"] = response["coalesced"]
         return run

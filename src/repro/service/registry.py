@@ -38,8 +38,10 @@ __all__ = [
     "run_id_for",
 ]
 
-#: manifest schema version; readers reject anything newer.
-MANIFEST_VERSION = 1
+#: manifest schema version; readers reject anything newer. v2 dropped
+#: v1's ``backend`` field: every backend wrote the same ledger bytes, so
+#: a v1 manifest loads with the field ignored.
+MANIFEST_VERSION = 2
 
 #: every state a run moves through::
 #:
@@ -67,9 +69,8 @@ class RunRecord:
     config: dict
     config_digest: str
     state: str = "queued"
-    backend: str = "batch"
-    #: local execution parallelism for the batch/stream backends
-    #: (identity-irrelevant, like ``WildScanConfig.jobs``).
+    #: local execution parallelism (identity-irrelevant, like
+    #: ``WildScanConfig.jobs``).
     jobs: int = 1
     #: resolved at execution time (``None`` until the run first starts).
     shard_count: int | None = None
@@ -98,7 +99,6 @@ class RunRecord:
             "config": self.config,
             "config_digest": self.config_digest,
             "state": self.state,
-            "backend": self.backend,
             "jobs": self.jobs,
             "shard_count": self.shard_count,
             "submitted_at": self.submitted_at,
@@ -118,13 +118,15 @@ class RunRecord:
         if not isinstance(payload, dict):
             raise ValueError("run manifest is not a JSON object")
         version = payload.get("manifest_version")
-        if version != MANIFEST_VERSION:
+        if version not in (1, MANIFEST_VERSION):
             raise ValueError(
                 f"run manifest version mismatch — file says {version!r}, "
-                f"this build speaks v{MANIFEST_VERSION}"
+                f"this build speaks v1 and v{MANIFEST_VERSION}"
             )
         known = {f for f in cls.__dataclass_fields__}
         fields = {k: v for k, v in payload.items() if k != "manifest_version"}
+        if version == 1:
+            fields.pop("backend", None)
         unknown = sorted(set(fields) - known)
         if unknown:
             raise ValueError(f"run manifest has unknown field(s) {unknown}")
@@ -164,7 +166,7 @@ class RunRegistry:
 
     # -- persistence -----------------------------------------------------
 
-    def create(self, config, *, backend: str = "batch", jobs: int = 1) -> RunRecord:
+    def create(self, config, *, jobs: int = 1) -> RunRecord:
         """Materialize a fresh run record (and its directory) for ``config``."""
         wire = config_to_wire(config)
         digest = config_digest(config)
@@ -172,7 +174,6 @@ class RunRegistry:
             run_id=run_id_for(config),
             config=wire,
             config_digest=digest,
-            backend=backend,
             jobs=jobs,
         )
         self.save(record)

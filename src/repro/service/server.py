@@ -17,7 +17,7 @@ be a *typed* object, hence the constant ``type`` on responses.)
 Request types::
 
     ping     -> {ok}
-    submit   {config, backend?, jobs?}        -> {ok, run, coalesced}
+    submit   {config, jobs?}                  -> {ok, run, coalesced}
     status   {run_id}                         -> {ok, run}
     runs     {}                               -> {ok, runs: [...]}
     results  {run_id, offset?, limit?}        -> {ok, ...paged payload}
@@ -25,7 +25,8 @@ Request types::
     drain    {timeout?}                       -> {ok, drained}
 
 Connections are serial per client (request, response, repeat), exactly
-like the worker protocol — no pipelining, no partial responses.
+like the worker protocol — no pipelining, no partial responses. A key
+that a request type does not name is ignored.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class ServiceServer:
         self._port = port
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
+        #: one ``(handler thread, connection)`` per accepted client.
+        self._conns: list[tuple[threading.Thread, socket.socket]] = []
         self._stopping = threading.Event()
         self.address: tuple[str, int] | None = None
 
@@ -76,6 +78,9 @@ class ServiceServer:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((self._host, self._port))
         sock.listen(32)
+        # closing the listener does not wake a blocked accept(), so the
+        # accept loop wakes this often to see stop().
+        sock.settimeout(0.2)
         self._sock = sock
         self.address = sock.getsockname()
         self._accept_thread = threading.Thread(
@@ -87,29 +92,37 @@ class ServiceServer:
         """Stop accepting and close the listener; in-flight handlers
         finish their current request and exit on the next read."""
         self._stopping.set()
+        if self._accept_thread is not None:
+            self._accept_thread.join(5.0)
+            self._accept_thread = None
         if self._sock is not None:
             try:
                 self._sock.close()
             finally:
                 self._sock = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(5.0)
-            self._accept_thread = None
-        for thread in self._conn_threads:
+        for _, conn in self._conns:
+            # end the read side only: a handler blocked on an idle client
+            # sees EOF, one mid-request still sends its response.
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its handler
+                pass
+        for thread, _ in self._conns:
             thread.join(5.0)
-        self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
+        self._conns = [entry for entry in self._conns if entry[0].is_alive()]
 
     # -- transport -------------------------------------------------------
 
     def _accept_loop(self) -> None:
+        sock = self._sock
         while not self._stopping.is_set():
-            sock = self._sock
-            if sock is None:
-                return
             try:
                 conn, _addr = sock.accept()
+            except socket.timeout:
+                continue
             except OSError:  # listener closed under us: clean stop
                 return
+            conn.settimeout(None)
             thread = threading.Thread(
                 target=self._serve_connection,
                 args=(conn,),
@@ -117,7 +130,7 @@ class ServiceServer:
                 daemon=True,
             )
             thread.start()
-            self._conn_threads.append(thread)
+            self._conns.append((thread, conn))
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
@@ -179,9 +192,7 @@ class ServiceServer:
             if not isinstance(config, dict):
                 raise ServiceError("submit needs a wire-form 'config' object")
             view, coalesced = self.service.submit(
-                config,
-                backend=request.get("backend"),
-                jobs=int(request.get("jobs", 1)),
+                config, jobs=int(request.get("jobs", 1))
             )
             return {"ok": True, "run": view, "coalesced": coalesced}
         if kind == "status":

@@ -19,14 +19,12 @@ resident process:
   ``completed`` runs, incomplete ones re-enter the queue as
   ``resuming`` and finish from the journal byte-identically.
 
-- **Supervised execution tier.** Each admitted run executes through one
-  of the existing backends: the batch :class:`~repro.engine.ScanEngine`
-  (default), the streaming engine, or an embedded cluster
-  — a per-run :class:`~repro.cluster.coordinator.Coordinator` fronted
-  by an :class:`~repro.cluster.autoscale.ElasticPool` that scales local
-  workers against queue depth. ``shutdown`` drains gracefully: active
-  runs finish (their shards are journaled either way), queued runs stay
-  queued on disk for the next start.
+- **Supervised execution tier.** Each admitted run executes through
+  the batch :class:`~repro.engine.ScanEngine` journaling to its ledger;
+  the stream and cluster engines write the same bytes, so a second path
+  here would change nothing a client can see. ``shutdown`` drains
+  gracefully: active runs finish (their shards are journaled either
+  way), queued runs stay queued on disk for the next start.
 
 The service is transport-agnostic; :mod:`repro.service.server` puts a
 length-prefixed JSON TCP front on it and
@@ -47,7 +45,6 @@ from .registry import COALESCE_STATES, RunRecord, RunRegistry, run_id_for
 
 __all__ = [
     "AdmissionError",
-    "BACKENDS",
     "DEFAULT_EXECUTORS",
     "DEFAULT_MAX_QUEUE",
     "ScanService",
@@ -55,13 +52,12 @@ __all__ = [
     "UnknownRunError",
 ]
 
-#: execution backends a run may request.
-BACKENDS = ("batch", "stream", "cluster")
-
 DEFAULT_EXECUTORS = 2
 DEFAULT_MAX_QUEUE = 16
 #: seconds a decoded merge result stays resident untouched.
-DEFAULT_RESULTS_TTL = 300.0
+RESULTS_TTL = 300.0
+#: decoded merge results kept resident at most.
+RESULTS_ENTRIES = 16
 
 
 class ServiceError(RuntimeError):
@@ -91,29 +87,16 @@ class ScanService:
         *,
         executors: int = DEFAULT_EXECUTORS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        results_ttl: float | None = DEFAULT_RESULTS_TTL,
-        results_entries: int = 16,
-        default_backend: str = "batch",
-        cluster_workers: int = 2,
-        clock=time.monotonic,
     ) -> None:
         if executors < 1:
             raise ValueError(f"executors must be >= 1, got {executors}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if default_backend not in BACKENDS:
-            raise ValueError(
-                f"default_backend must be one of {BACKENDS}, got {default_backend!r}"
-            )
-        if cluster_workers < 1:
-            raise ValueError(f"cluster_workers must be >= 1, got {cluster_workers}")
         self.registry = RunRegistry(data_dir)
         self.executors = executors
         self.max_queue = max_queue
-        self.default_backend = default_backend
-        self.cluster_workers = cluster_workers
         #: decoded merge results for completed runs, keyed by run id.
-        self.results_cache = TTLCache(results_entries, results_ttl, clock=clock)
+        self.results_cache = TTLCache(RESULTS_ENTRIES, RESULTS_TTL)
 
         self._cond = threading.Condition()
         self._records: dict[str, RunRecord] = {}
@@ -245,13 +228,7 @@ class ScanService:
 
     # -- submission / admission ------------------------------------------
 
-    def submit(
-        self,
-        config,
-        *,
-        backend: str | None = None,
-        jobs: int = 1,
-    ) -> tuple[dict, bool]:
+    def submit(self, config, *, jobs: int = 1) -> tuple[dict, bool]:
         """Admit one scan job; returns ``(run_view, coalesced)``.
 
         ``config`` is a :class:`~repro.workload.generator.WildScanConfig`
@@ -264,10 +241,6 @@ class ScanService:
         """
         if isinstance(config, dict):
             config = config_from_wire(config)  # strict: raises ValueError
-        if backend is None:
-            backend = self.default_backend
-        if backend not in BACKENDS:
-            raise ServiceError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
         if jobs < 1:
             raise ServiceError(f"jobs must be >= 1, got {jobs}")
         run_id = run_id_for(config)
@@ -289,12 +262,11 @@ class ScanService:
                 record.state = "queued"
                 record.error = None
                 record.finished_at = None
-                record.backend = backend
                 record.jobs = jobs
                 record.submitted_at = time.time()
                 self.counters["resubmitted"] += 1
             else:
-                record = self.registry.create(config, backend=backend, jobs=jobs)
+                record = self.registry.create(config, jobs=jobs)
                 self._records[run_id] = record
                 self.counters["submitted"] += 1
             self.registry.save(record)
@@ -465,14 +437,13 @@ class ScanService:
                 self._cond.notify_all()
 
     def _execute(self, record: RunRecord) -> None:
-        """Run one admitted job through its backend, journaled."""
+        """Run one admitted job through ``ScanEngine``, journaled."""
         from dataclasses import replace
 
+        from ..engine.scan import ScanEngine
         from ..runtime.ledger import RunLedger
 
-        config = config_from_wire(record.config)
-        if record.jobs != 1 and record.backend in ("batch", "stream"):
-            config = replace(config, jobs=record.jobs)
+        config = replace(config_from_wire(record.config), jobs=record.jobs)
         _, shard_count = build_full_schedule(config)
         record.shard_count = shard_count
 
@@ -480,24 +451,7 @@ class ScanService:
             self.registry.ledger_path(record.run_id), config, shard_count
         )
         try:
-            if record.backend == "stream":
-                from ..engine.stream import StreamEngine
-
-                result = StreamEngine(config, ledger=ledger).run().result
-            elif record.backend == "cluster":
-                from ..cluster.local import run_cluster_scan
-
-                result, _stats = run_cluster_scan(
-                    config,
-                    workers=0,
-                    autoscale=True,
-                    max_workers=self.cluster_workers,
-                    ledger=ledger,
-                )
-            else:
-                from ..engine.scan import ScanEngine
-
-                result = ScanEngine(config, ledger=ledger).run()
+            result = ScanEngine(config, ledger=ledger).run()
             record.shards_resumed = ledger.resumed_count
             record.shards_recorded = ledger.recorded_count
         finally:

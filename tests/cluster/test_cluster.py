@@ -473,3 +473,23 @@ class TestCoordinatorValidation:
             sock.close()
         finally:
             coordinator.shutdown()
+
+
+class TestStatsViews:
+    def test_capacity_snapshot_derived_views(self):
+        from repro.cluster.coordinator import CapacitySnapshot
+
+        snapshot = CapacitySnapshot(
+            shard_count=8, completed=3, pending=2, running=3,
+            live_workers=("a", "b"), idle_workers=("b",),
+            retiring_workers=("c",), excluded_ages={"d": 1.5},
+            stopping=False, failed=False,
+        )
+        assert snapshot.outstanding == 5
+        assert snapshot.demand == 5
+        assert not snapshot.finished
+
+    def test_resumed_shards_defaults_to_zero(self):
+        from repro.cluster.coordinator import ClusterStats
+
+        assert ClusterStats().resumed_shards == 0

@@ -128,11 +128,9 @@ class TestParallelRecovery:
 
     @staticmethod
     def _result_snapshot(outcomes):
-        return [
-            (o.shard_index, o.total_transactions,
-             [d.tx_hash for d in o.detections], o.row_counts)
-            for o in outcomes
-        ]
+        from repro.engine.wire import shard_result_to_wire
+
+        return [shard_result_to_wire(outcome) for outcome in outcomes]
 
     @staticmethod
     def _fake_future(value=None, error=None):

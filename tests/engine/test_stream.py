@@ -13,7 +13,6 @@ import pytest
 from repro.engine import (
     StreamBlock,
     StreamEngine,
-    blocks_from_explorer,
     build_schedule,
     schedule_block_stream,
     screen_blocks,
@@ -158,88 +157,6 @@ class TestLatencyPercentile:
         assert pair.latency_percentile(0.51) == 2.0
 
 
-class TestExplorerSource:
-    """Replayed chain history through the sharded streaming pipeline."""
-
-    def _record_flash_loan(self, world):
-        from repro.study.scenarios.base import ScriptedAttackContract
-
-        token = world.new_token("XS")
-        solo = world.dydx(funding={token: 10**6 * token.unit})
-        user = world.create_attacker("stream-replay-user")
-        bot = world.chain.deploy(user, ScriptedAttackContract, lambda atk: None)
-        token.mint(bot.address, 10)
-        first = world.chain.block_number + 1
-        world.chain.mine()
-        world.chain.transact(
-            user, bot.address, "run_dydx", solo.address, token.address,
-            1_000 * token.unit,
-        )
-        return first, world.chain.block_number
-
-    def test_blocks_from_explorer_shape(self, world):
-        from repro.chain.explorer import ChainExplorer
-
-        first, last = self._record_flash_loan(world)
-        blocks = list(blocks_from_explorer(ChainExplorer(world.chain), first, last))
-        assert blocks, "the recorded range should contain transactions"
-        positions = [p for block in blocks for p, _ in block.entries]
-        assert positions == list(range(len(positions)))  # globally increasing
-        numbers = [block.number for block in blocks]
-        assert numbers == sorted(numbers)
-        assert all(kind == "replay" for block in blocks
-                   for _, (kind, _trace) in block.entries)
-        assert all(block.entries for block in blocks)  # empty blocks dropped
-
-    def test_replay_through_stream_engine_matches_screen_blocks(self, world):
-        from repro.chain.explorer import ChainExplorer
-
-        first, last = self._record_flash_loan(world)
-        explorer = ChainExplorer(world.chain)
-        screened = list(
-            screen_blocks(world.detector(), explorer.blocks_between(first, last))
-        )
-        config = WildScanConfig(scale=SCALE, seed=SEED, jobs=2, shards=2)
-        streamed = StreamEngine(config, block_size=8).run(
-            source=blocks_from_explorer(explorer, first, last),
-            detector_factory=world.detector,
-        )
-        total = sum(
-            len(traces) for _, traces in explorer.blocks_between(first, last)
-        )
-        assert streamed.result.total_transactions == total
-        # the dydx round trip is a flash loan but not an attack: the
-        # single-detector path screens it, the sharded path agrees.
-        assert len(screened) == 1 and not screened[0].is_attack
-        assert streamed.result.detected_count == sum(
-            1 for s in screened if s.is_attack
-        )
-
-    def test_replay_detects_a_real_attack(self, bzx1_outcome):
-        from repro.chain.explorer import ChainExplorer
-
-        world = bzx1_outcome.world
-        explorer = ChainExplorer(world.chain)
-        first, last = 0, world.chain.block_number
-        attacks_screened = [
-            s
-            for s in screen_blocks(world.detector(), explorer.blocks_between(first, last))
-            if s.is_attack
-        ]
-        assert attacks_screened, "the bzx1 replay must screen as an attack"
-
-        config = WildScanConfig(scale=SCALE, seed=SEED, jobs=2, shards=2)
-        streamed = StreamEngine(config, block_size=4).run(
-            source=blocks_from_explorer(explorer, first, last),
-            detector_factory=world.detector,
-        )
-        assert streamed.result.detected_count == len(attacks_screened)
-        detection = streamed.result.detections[0]
-        assert detection.truth.profile == "replay"
-        assert not detection.truth.is_attack  # recorded history has no ground truth
-        assert detection.patterns  # but the patterns that fired are preserved
-
-
 class TestReplayScreening:
     def test_screen_blocks_replays_recorded_history(self, world):
         from repro.study.scenarios.base import ScriptedAttackContract
@@ -264,3 +181,14 @@ class TestReplayScreening:
         assert len(screened) == 1  # only the flash loan tx is yielded
         assert not screened[0].is_attack
         assert screened[0].latency_ms >= 0
+
+    def test_screen_blocks_detects_a_real_attack(self, bzx1_outcome):
+        from repro.chain.explorer import ChainExplorer
+
+        world = bzx1_outcome.world
+        blocks = ChainExplorer(world.chain).blocks_between(
+            0, world.chain.block_number
+        )
+        attacks = [s for s in screen_blocks(world.detector(), blocks) if s.is_attack]
+        assert [s.report.tx_hash for s in attacks] == [bzx1_outcome.trace.tx_hash]
+        assert set(attacks[0].report.patterns) == {"SBS"}  # bZx-1's pattern

@@ -75,8 +75,3 @@ class TestStreamLedger:
         engine = StreamEngine(_config(), ledger=tmp_path / "s.ledger")
         with pytest.raises(ValueError, match="canonical schedule"):
             engine.run(source=iter(()))
-
-    def test_ledger_rejected_with_detector_factory(self, tmp_path):
-        engine = StreamEngine(_config(), ledger=tmp_path / "s.ledger")
-        with pytest.raises(ValueError, match="cannot be journaled"):
-            engine.run(detector_factory=lambda: None)

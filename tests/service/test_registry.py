@@ -32,7 +32,7 @@ def test_run_id_is_config_digest_prefix():
 def test_create_save_load_roundtrip(tmp_path):
     registry = RunRegistry(tmp_path)
     config = WildScanConfig(scale=0.01, seed=7, shards=2)
-    record = registry.create(config, backend="stream", jobs=3)
+    record = registry.create(config, jobs=3)
     loaded = registry.load(record.run_id)
     assert loaded == record
     record.state = "running"

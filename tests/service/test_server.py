@@ -15,7 +15,6 @@ from repro.service import (
     AdmissionError,
     ScanService,
     ServiceClient,
-    ServiceError,
     ServiceServer,
     UnknownRunError,
 )
@@ -80,11 +79,30 @@ def test_error_kinds_map_to_client_exceptions(served):
     with ServiceClient(server.address) as client:
         with pytest.raises(UnknownRunError):
             client.status("run-nope")
-        with pytest.raises(ServiceError, match="backend"):
-            client.submit(CONFIG, backend="quantum")
         service.drain(timeout=30)
         with pytest.raises(AdmissionError):
             client.submit(CONFIG)
+
+
+@pytest.mark.parametrize("idle_client", [False, True], ids=["no-client", "idle-client"])
+def test_stop_returns_promptly(tmp_path, idle_client):
+    """``stop()`` wakes the accept loop and a handler parked on an idle
+    client instead of waiting out their join timeouts."""
+    import time
+
+    with ScanService(tmp_path) as service:
+        server = ServiceServer(service)
+        server.start()
+        client = ServiceClient(server.address) if idle_client else None
+        try:
+            if client is not None:
+                assert client.ping()  # its handler now blocks on the next read
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 1.0
+        finally:
+            if client is not None:
+                client.close()
 
 
 def test_protocol_version_mismatch_is_refused(served):

@@ -4,14 +4,16 @@ These are the acceptance pins for the multi-tenant tier:
 
 - concurrent overlapping submissions coalesce onto one run;
 - everything the service serves is byte-identical to a standalone
-  :class:`~repro.engine.ScanEngine` run of the same config, on every
-  backend, paged or unpaged;
+  :class:`~repro.engine.ScanEngine` run of the same config, paged or
+  unpaged;
 - a service restarted over a half-journaled run adopts the ledger,
-  finishes only the missing shards, and changes nothing.
+  finishes only the missing shards, and changes nothing; one restarted
+  over manifests an older build wrote adopts them too.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -151,17 +153,6 @@ def test_paged_fetch_equals_unpaged_merge(tmp_path):
         assert past["detections"] == [] and past["next_offset"] is None
 
 
-@pytest.mark.parametrize("backend", ["stream", "cluster"])
-def test_alternate_backends_identical(tmp_path, backend):
-    reference = standalone_wire(CONFIG)
-    with ScanService(tmp_path, cluster_workers=2) as service:
-        view, _ = service.submit(CONFIG, backend=backend)
-        done = service.wait(view["run_id"], timeout=300)
-        assert done["state"] == "completed", done["error"]
-        assert done["backend"] == backend
-        assert service.results(view["run_id"])["detections"] == reference
-
-
 def test_admission_rejects_when_queue_full(tmp_path):
     service = ScanService(tmp_path, executors=1, max_queue=1)
     inner = service._execute
@@ -235,8 +226,6 @@ def test_unknown_run_and_bad_paging_args(tmp_path):
             service.results(view["run_id"], offset=-1)
         with pytest.raises(ServiceError, match="limit"):
             service.results(view["run_id"], limit=0)
-        with pytest.raises(ServiceError, match="backend"):
-            service.submit(CONFIG, backend="quantum")
 
 
 def test_restart_adopts_incomplete_ledger_byte_identically(tmp_path):
@@ -294,6 +283,39 @@ def test_restart_adopts_completed_ledger_without_rescanning(tmp_path):
         assert third.results(view["run_id"])["detections"] == reference
     # serving results never rewrites the journal.
     assert ledger_path.read_bytes() == ledger_bytes
+
+
+def _rewrite_as_v1(registry, run_id: str, backend: str) -> None:
+    """Rewrite a run's manifest in the v1 schema: the same fields plus
+    the execution backend the run was submitted to."""
+    path = registry.manifest_path(run_id)
+    payload = json.loads(path.read_text())
+    payload.update(manifest_version=1, backend=backend)
+    path.write_text(json.dumps(payload, sort_keys=True))
+
+
+def test_restart_adopts_v1_manifests(tmp_path):
+    """A completed v1 ``cluster`` run beside its complete ledger serves its
+    results without re-scanning; a queued v1 ``stream`` run executes
+    through ``ScanEngine``. Both serve a standalone run's bytes."""
+    other = WildScanConfig(scale=0.01, seed=11, shards=2)
+    with ScanService(tmp_path) as first:
+        completed = first.submit(CONFIG)[0]["run_id"]
+        first.wait(completed, timeout=120)
+    queued = first.registry.create(other).run_id
+    _rewrite_as_v1(first.registry, completed, "cluster")
+    _rewrite_as_v1(first.registry, queued, "stream")
+    ledger_bytes = first.registry.ledger_path(completed).read_bytes()
+
+    with ScanService(tmp_path) as service:
+        assert service.status(completed)["state"] == "completed"
+        done = service.wait(queued, timeout=120)
+        assert done["state"] == "completed", done["error"]
+        assert done["shards_recorded"] == 2
+        assert service.results(completed)["detections"] == standalone_wire(CONFIG)
+        assert service.results(queued)["detections"] == standalone_wire(other)
+        assert "backend" not in done
+    assert first.registry.ledger_path(completed).read_bytes() == ledger_bytes
 
 
 def test_restart_requeues_never_started_run(tmp_path):
