@@ -12,7 +12,8 @@ test:
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q
 
-## per-stage profile of the batch wild scan at a moderate scale; prints
-## the stage table and writes PROFILE_wildscan.json
+## per-stage profile of the full-scale (scale 1.0) sequential wild scan,
+## one to two minutes on 2 CPUs; prints the stage table and rewrites the
+## tracked PROFILE_wildscan.json
 profile:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.runner scan --scale 0.1 --profile
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.runner scan --full --profile

@@ -41,7 +41,6 @@ GENESIS_TIMESTAMP = 1_455_300_000
 SECONDS_PER_BLOCK = 13
 
 _ETH_BALANCE = "eth_balance"
-_CHAIN_OWNER = Address("0x" + "c" * 40)
 
 
 class _LabelMap(dict):
@@ -194,7 +193,7 @@ class Chain:
             )
         self.state.add(sender, _ETH_BALANCE, -amount)
         self.state.add(receiver, _ETH_BALANCE, amount)
-        self._record_transfer(sender, receiver, amount, ETHER)
+        self.record_transfer(sender, receiver, amount, ETHER)
 
     def send_ether(self, sender: Address, receiver: Address, amount: int) -> None:
         """Plain Ether send; triggers the receiver's ``receive_ether`` hook."""
@@ -207,21 +206,22 @@ class Chain:
     # trace recording
     # ------------------------------------------------------------------
 
-    def _record_transfer(self, sender: Address, receiver: Address, amount: int, token: Address) -> None:
-        if self._trace is not None:
+    def record_transfer(self, sender: Address, receiver: Address, amount: int, token: Address) -> None:
+        """Record an asset transfer: an ERC20 ``Transfer`` log (called by
+        token contracts), or an Ether move when ``token`` is ``ETHER``."""
+        trace = self._trace
+        if trace is not None:
             seq = self._seq
             self._seq = seq + 1
-            self._trace.transfers.append(TransferRecord(seq, sender, receiver, amount, token))
+            trace.transfers.append(TransferRecord(seq, sender, receiver, amount, token))
 
-    def record_token_transfer(self, sender: Address, receiver: Address, amount: int, token: Address) -> None:
-        """Record an ERC20 ``Transfer`` log (called by token contracts)."""
-        self._record_transfer(sender, receiver, amount, token)
-
-    def emit_log(self, emitter: Address, event: str, **params: Any) -> None:
-        if self._trace is not None:
+    def emit_log(self, emitter: Address, event: str, params: dict[str, Any]) -> None:
+        """Record an event log; ``params`` maps each field to its value."""
+        trace = self._trace
+        if trace is not None:
             seq = self._seq
             self._seq = seq + 1
-            self._trace.logs.append(LogRecord(seq, emitter, event, tuple(params.items())))
+            trace.logs.append(LogRecord(seq, emitter, event, tuple(params.items())))
 
     # ------------------------------------------------------------------
     # calls and transactions
@@ -239,34 +239,43 @@ class Chain:
     ) -> Any:
         """Execute a (possibly nested) message call with EVM semantics.
 
-        State changes and trace records made by the subtree are rolled
+        The one dispatch path: the target's entry point comes from its
+        class's table (:meth:`Contract.entry_point` on a miss) and is
+        called with the contract and a :class:`Msg`. State changes,
+        deployments and trace records made by the subtree are rolled
         back if it raises, so callers may catch :class:`Revert` like a
         Solidity ``try/catch``.
         """
         contract = self.contracts.get(target)
         if contract is None:
             raise NotAContract(f"call target {target} is not a contract")
-        self.state.checkpoint()
+        state = self.state
+        state.checkpoint()
         trace = self._trace
         # every record of this call's subtree is stamped at or after ``mark``
         mark = self._seq
-        self._depth += 1
+        depth = self._depth = self._depth + 1
         if trace is not None:
             self._seq = mark + 1
-            trace.calls.append(CallRecord(mark, caller, target, function, self._depth, value))
+            trace.calls.append(CallRecord(mark, caller, target, function, depth, value))
         try:
             if value:
                 self._move_ether(caller, target, value)
-            result = contract.dispatch(function, Msg(caller, value), *args, **kwargs)
+            cls = type(contract)
+            entry = cls._entry_points.get(function) or cls.entry_point(function)
+            result = entry(contract, Msg(caller, value), *args, **kwargs)
         except ChainError:
-            self.state.rollback()
+            state.rollback()
+            creations = self.creations
+            if creations and creations[-1].seq >= mark:
+                self._undeploy(mark)
             if trace is not None:
                 for records in (trace.transfers, trace.calls, trace.logs, trace.creations):
                     while records and records[-1].seq >= mark:
                         records.pop()
             raise
         else:
-            self.state.commit()
+            state.commit()
             return result
         finally:
             self._depth -= 1
@@ -354,7 +363,8 @@ class Chain:
         relationships are recorded globally (the XBlock-ETH dataset the
         paper imports) and also in the current trace if one is open.
         ``address`` pins the contract to a caller-chosen deterministic
-        address (see :meth:`create_eoa`).
+        address (see :meth:`create_eoa`). A deployment made inside a
+        call that reverts is undone with it.
         """
         if address is None:
             address = self.addresses.fresh(hint or contract_cls.__name__)
@@ -370,6 +380,20 @@ class Chain:
         if label is not None:
             self.labels[address] = label
         return contract
+
+    def _undeploy(self, mark: int) -> None:
+        """Undo every deployment stamped at or after ``mark`` (a reverted
+        call's subtree): its contract, creator edge, creation record and
+        label. Deployment addresses are fresh, so nothing older is lost;
+        ``version`` still advances, as for any change of the graph."""
+        creations = self.creations
+        while creations and creations[-1].seq >= mark:
+            address = creations.pop().created
+            self.contracts.pop(address, None)
+            self.created_by.pop(address, None)
+            self.version += 1
+            if address in self.labels:
+                del self.labels[address]
 
     def destroy(self, address: Address) -> None:
         """``selfdestruct``: drop the code, keep the history (Sec. VI-D2)."""

@@ -13,6 +13,7 @@ plain Python attributes are treated as immutable configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from .errors import UnknownFunction
@@ -48,6 +49,12 @@ def external(func: F) -> F:
 class Contract:
     """Base class for every deployed contract.
 
+    A message call to ``function`` runs the class's function of that
+    name if any definition of it in the class hierarchy is ``@external``
+    (see :meth:`entry_point`). :meth:`Chain.call` looks the function up
+    in the class's entry-point table and calls it with the contract and
+    a :class:`Msg`; an instance attribute never shadows an entry point.
+
     Attributes
     ----------
     chain:
@@ -55,6 +62,11 @@ class Contract:
         emission and asset movement.
     address:
         The contract's account address.
+    call:
+        ``call(target, function, *args, value=0, **kwargs)`` makes a
+        nested message call with this contract as ``msg.sender``: it is
+        :meth:`Chain.call` bound to this address once, so a nested call
+        pays no wrapper frame.
     storage:
         Journaled persistent storage scoped to this contract.
     app_name:
@@ -65,16 +77,19 @@ class Contract:
     #: Default application name for instances of this contract class.
     APP_NAME: str | None = None
 
-    #: function name -> whether it is dispatchable; one table per class.
-    _externals: dict[str, bool] = {}
+    #: function name -> the function a message call runs, or ``None``
+    #: when the name is no entry point; one table per class, filled by
+    #: :meth:`entry_point` and read first by :meth:`Chain.call`.
+    _entry_points: dict[str, Callable[..., Any] | None] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        cls._externals = {}
+        cls._entry_points = {}
 
     def __init__(self, chain: "Chain", address: Address) -> None:
         self.chain = chain
         self.address = address
+        self.call = partial(chain.call, address)
         self.storage = StorageView(chain.state, address)
         self.app_name: str | None = self.APP_NAME
         #: whether this contract implements trade events. Some real DeFi
@@ -85,41 +100,42 @@ class Contract:
 
     # -- dispatch --------------------------------------------------------
 
-    def dispatch(self, function: str, msg: Msg, /, *args: Any, **kwargs: Any) -> Any:
-        """Invoke an external entry point by name (used by the chain).
+    @classmethod
+    def entry_point(cls, function: str) -> Callable[..., Any]:
+        """The function a message call named ``function`` runs on this class.
 
-        A method is dispatchable if *any* definition of that name in the
-        class hierarchy is marked ``@external`` — so interface base classes
+        A name is an entry point if *any* definition of it in the class
+        hierarchy is marked ``@external`` — so interface base classes
         (e.g. flash-loan receiver callbacks) can declare the entry point
-        once and subclasses can override without re-decorating.
+        once and subclasses can override without re-decorating. It
+        resolves on the class, never on an instance attribute. The
+        answer is cached in the class's table; raises
+        :class:`UnknownFunction` when the name is no entry point.
         """
-        cls = type(self)
-        external = cls._externals.get(function)
-        if external is None:
-            external = cls._externals[function] = any(
+        table = cls._entry_points
+        if function in table:
+            entry = table[function]
+        else:
+            external = any(
                 getattr(klass.__dict__.get(function), "__external__", False)
                 for klass in cls.__mro__
             )
-        handler = getattr(self, function, None)
-        if handler is None or not external:
+            entry = table[function] = getattr(cls, function, None) if external else None
+        if entry is None:
             raise UnknownFunction(f"{cls.__name__} has no external fn {function!r}")
-        return handler(msg, *args, **kwargs)
+        return entry
 
     # -- convenience wrappers used by subclasses --------------------------
 
-    def call(self, target: Address, function: str, /, *args: Any, value: int = 0, **kwargs: Any) -> Any:
-        """Make a nested message call with this contract as ``msg.sender``."""
-        return self.chain.call(self.address, target, function, *args, value=value, **kwargs)
-
     def emit(self, event: str, **params: Any) -> None:
         """Emit an event log from this contract."""
-        self.chain.emit_log(self.address, event, **params)
+        self.chain.emit_log(self.address, event, params)
 
     def emit_trade(self, event: str, **params: Any) -> None:
         """Emit a *trade* event, unless this deployment doesn't implement
         trade events (``emits_trade_events = False``)."""
         if self.emits_trade_events:
-            self.chain.emit_log(self.address, event, **params)
+            self.chain.emit_log(self.address, event, params)
 
     def receive_ether(self, msg: Msg) -> None:
         """Hook invoked when plain Ether is sent to the contract.

@@ -13,7 +13,7 @@ slots without the 256-bit encoding noise.
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterator
 
 from .types import Address
 
@@ -70,6 +70,29 @@ class StateJournal:
         new = self._data[key] = (0 if old is _MISSING else old) + delta
         return new
 
+    def move(self, owner: Address, source: Hashable, dest: Hashable, amount: int) -> int:
+        """Move ``amount`` from numeric slot ``source`` to slot ``dest``.
+
+        Returns what ``source`` held before. When that is less than
+        ``amount`` nothing is written; otherwise the writes and their
+        undo entries are exactly those of ``set(source, held - amount)``
+        followed by ``add(dest, amount)``, so ``source == dest`` is a
+        no-op move.
+        """
+        data = self._data
+        src = (owner, source)
+        old = data.get(src, _MISSING)
+        held = 0 if old is _MISSING else old
+        if held < amount:
+            return held
+        data[src] = held - amount
+        dst = (owner, dest)
+        prior = data.get(dst, _MISSING)
+        data[dst] = (0 if prior is _MISSING else prior) + amount
+        if self._marks:
+            self._log.extend(((src, old), (dst, prior)))
+        return held
+
     # -- checkpoints ----------------------------------------------------
 
     def checkpoint(self) -> int:
@@ -97,6 +120,11 @@ class StateJournal:
             else:
                 data[key] = old
         del self._log[mark:]
+
+    def entries(self) -> Iterator[tuple[Address, Hashable, Any]]:
+        """Every stored ``(owner, slot, value)``, in first-write order."""
+        for (owner, slot), value in self._data.items():
+            yield owner, slot, value
 
     @property
     def depth(self) -> int:
@@ -129,6 +157,9 @@ class StorageView:
 
     def add(self, slot: Hashable, delta: int) -> int:
         return self._state.add(self._owner, slot, delta)
+
+    def move(self, source: Hashable, dest: Hashable, amount: int) -> int:
+        return self._state.move(self._owner, source, dest, amount)
 
     def delete(self, slot: Hashable) -> None:
         self._state.delete(self._owner, slot)

@@ -18,7 +18,7 @@ See ``README.md`` ("Running as a service") and
 from .cache import TTLCache
 from .client import PaginationError, ServiceClient
 from .registry import RUN_STATES, RunRecord, RunRegistry, run_id_for
-from .server import SERVICE_PROTOCOL_VERSION, ServiceServer
+from .server import SERVICE_PROTOCOL_VERSION, ServerStopping, ServiceServer
 from .service import AdmissionError, ScanService, ServiceError, UnknownRunError
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "RunRegistry",
     "SERVICE_PROTOCOL_VERSION",
     "ScanService",
+    "ServerStopping",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",

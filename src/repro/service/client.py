@@ -20,7 +20,7 @@ import time
 
 from ..cluster.protocol import recv_message, send_message
 from ..engine.wire import config_to_wire, detection_from_wire
-from .server import SERVICE_PROTOCOL_VERSION
+from .server import SERVICE_PROTOCOL_VERSION, ServerStopping
 from .service import AdmissionError, ServiceError, UnknownRunError
 
 __all__ = ["PaginationError", "ServiceClient"]
@@ -38,6 +38,7 @@ class PaginationError(ServiceError):
 _ERROR_KINDS = {
     "admission": AdmissionError,
     "unknown-run": UnknownRunError,
+    "stopping": ServerStopping,
     "timeout": TimeoutError,
 }
 

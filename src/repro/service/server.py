@@ -19,10 +19,14 @@ Request types::
     ping     -> {ok}
     submit   {config, jobs?}                  -> {ok, run, coalesced}
     status   {run_id}                         -> {ok, run}
+    wait     {run_id, timeout?}               -> {ok, run}
     runs     {}                               -> {ok, runs: [...]}
     results  {run_id, offset?, limit?}        -> {ok, ...paged payload}
     stats    {}                               -> {ok, stats}
     drain    {timeout?}                       -> {ok, drained}
+
+A ``wait`` still parked when the server stops is answered with the
+``stopping`` kind.
 
 Connections are serial per client (request, response, repeat), exactly
 like the worker protocol — no pipelining, no partial responses. A key
@@ -33,14 +37,22 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 from ..cluster.protocol import ConnectionClosed, ProtocolError, recv_message, send_message
 from .service import AdmissionError, ScanService, ServiceError, UnknownRunError
 
-__all__ = ["SERVICE_PROTOCOL_VERSION", "ServiceServer"]
+__all__ = ["SERVICE_PROTOCOL_VERSION", "ServerStopping", "ServiceServer"]
 
 #: framed-request schema version; bumped on incompatible change.
 SERVICE_PROTOCOL_VERSION = 1
+
+#: how often the accept loop and a parked ``wait`` look for stop().
+_POLL_S = 0.2
+
+
+class ServerStopping(ServiceError):
+    """The server stopped while the request waited; the run goes on."""
 
 
 class ServiceServer:
@@ -80,7 +92,7 @@ class ServiceServer:
         sock.listen(32)
         # closing the listener does not wake a blocked accept(), so the
         # accept loop wakes this often to see stop().
-        sock.settimeout(0.2)
+        sock.settimeout(_POLL_S)
         self._sock = sock
         self.address = sock.getsockname()
         self._accept_thread = threading.Thread(
@@ -130,6 +142,8 @@ class ServiceServer:
                 daemon=True,
             )
             thread.start()
+            # drop the entries of handlers whose client has gone
+            self._conns = [entry for entry in self._conns if entry[0].is_alive()]
             self._conns.append((thread, conn))
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -170,6 +184,8 @@ class ServiceServer:
             return {"ok": False, "error": str(exc), "kind": "admission"}
         except UnknownRunError as exc:
             return {"ok": False, "error": str(exc), "kind": "unknown-run"}
+        except ServerStopping as exc:
+            return {"ok": False, "error": str(exc), "kind": "stopping"}
         except (ServiceError, ValueError) as exc:
             return {"ok": False, "error": str(exc), "kind": "bad-request"}
         except TimeoutError as exc:
@@ -199,9 +215,8 @@ class ServiceServer:
             return {"ok": True, "run": self.service.status(self._run_id(request))}
         if kind == "wait":
             timeout = request.get("timeout")
-            view = self.service.wait(
-                self._run_id(request),
-                timeout=None if timeout is None else float(timeout),
+            view = self._wait(
+                self._run_id(request), None if timeout is None else float(timeout)
             )
             return {"ok": True, "run": view}
         if kind == "runs":
@@ -223,6 +238,20 @@ class ServiceServer:
             )
             return {"ok": True, "drained": drained}
         raise ServiceError(f"unknown request type {kind!r}")
+
+    def _wait(self, run_id: str, timeout: float | None) -> dict:
+        """``ScanService.wait`` in slices of at most ``_POLL_S``, so a
+        parked request sees :meth:`stop` instead of holding its join."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._stopping.is_set():
+            remaining = _POLL_S if deadline is None else deadline - time.monotonic()
+            try:
+                return self.service.wait(run_id, timeout=min(remaining, _POLL_S))
+            except TimeoutError:
+                if deadline is not None and remaining <= _POLL_S:
+                    state = self.service.status(run_id)["state"]
+                    raise TimeoutError(f"run {run_id} still {state} after {timeout}s") from None
+        raise ServerStopping(f"server stopped while waiting for run {run_id}")
 
     @staticmethod
     def _run_id(request: dict) -> str:

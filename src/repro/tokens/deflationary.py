@@ -49,6 +49,6 @@ class DeflationaryERC20(ERC20):
         self.storage.set(("balance", sender), balance - amount)
         self.storage.add(("balance", to), received)
         self.storage.add("total_supply", -fee)
-        self.chain.record_token_transfer(sender, to, received, self.address)
+        self.chain.record_transfer(sender, to, received, self.address)
         if fee:
-            self.chain.record_token_transfer(sender, BLACKHOLE, fee, self.address)
+            self.chain.record_transfer(sender, BLACKHOLE, fee, self.address)

@@ -88,7 +88,7 @@ class ERC20(Contract):
             raise Revert("negative mint")
         self.storage.add(("balance", to), amount)
         self.storage.add(_TOTAL_SUPPLY, amount)
-        self.chain.record_token_transfer(BLACKHOLE, to, amount, self.address)
+        self.chain.record_transfer(BLACKHOLE, to, amount, self.address)
 
     def burn(self, owner: Address, amount: int) -> None:
         """Destroy ``amount`` tokens of ``owner`` (Transfer to BlackHole)."""
@@ -99,18 +99,16 @@ class ERC20(Contract):
             raise InsufficientBalance(f"{self.symbol}: burn {amount} > balance {balance}")
         self.storage.set(("balance", owner), balance - amount)
         self.storage.add(_TOTAL_SUPPLY, -amount)
-        self.chain.record_token_transfer(owner, BLACKHOLE, amount, self.address)
+        self.chain.record_transfer(owner, BLACKHOLE, amount, self.address)
 
     # -- internals ----------------------------------------------------------
 
     def _move(self, sender: Address, to: Address, amount: int) -> None:
         if amount < 0:
             raise Revert("negative transfer")
-        balance = self.balance_of(sender)
+        balance = self.storage.move(("balance", sender), ("balance", to), amount)
         if balance < amount:
             raise InsufficientBalance(
                 f"{self.symbol}: {sender.short} has {balance}, needs {amount}"
             )
-        self.storage.set(("balance", sender), balance - amount)
-        self.storage.add(("balance", to), amount)
-        self.chain.record_token_transfer(sender, to, amount, self.address)
+        self.chain.record_transfer(sender, to, amount, self.address)

@@ -1,6 +1,15 @@
 """Chain execution: calls, transactions, atomicity, traces, blocks."""
 
+import importlib
+import pkgutil
+import types
+
 import pytest
+
+import repro.defi
+import repro.study
+import repro.tokens
+import repro.workload
 
 from repro.chain import (
     Chain,
@@ -53,6 +62,30 @@ class QuietCounter(Counter):
 class Sibling(Contract):
     def bump(self, msg: Msg, by: int = 1) -> int:  # never decorated
         return by
+
+
+class Factory(Contract):
+    @external
+    def make(self, msg: Msg, fail: bool = False):
+        child = self.chain.deploy(self.address, Counter, label="Factory: Child")
+        if fail:
+            raise Revert("undo the deployment")
+        return child.address
+
+    @external
+    def make_catching(self, msg: Msg):
+        kept = self.chain.deploy(self.address, Counter)
+        try:
+            self.call(self.address, "make", True)
+        except Revert:
+            pass
+        return kept.address
+
+
+def creation_graph(chain) -> tuple:
+    return (
+        dict(chain.contracts), dict(chain.created_by), list(chain.creations), dict(chain.labels)
+    )
 
 
 def numbering(trace) -> list[tuple[str, int, int | None]]:
@@ -133,6 +166,33 @@ class TestDispatch:
         with pytest.raises(UnknownFunction):
             chain.call(a, sibling.address, "bump")
         assert chain.call(a, quiet.address, "bump") == -1
+
+    def test_entry_points_resolve_on_the_class(self, chain):
+        a = chain.create_eoa()
+        counter = chain.deploy(a, Counter)
+        counter.bump = lambda msg, by=1: "instance attribute"
+        assert chain.call(a, counter.address, "bump", 2) == 2
+        assert Counter.entry_point("bump") is Counter.bump
+        assert QuietCounter.entry_point("bump") is QuietCounter.bump
+        with pytest.raises(UnknownFunction):
+            Counter.entry_point("count")
+        assert Counter._entry_points == {"bump": Counter.bump, "count": None}
+
+    def test_every_src_entry_point_is_a_class_function(self):
+        """``Chain.call`` calls ``entry(contract, msg, ...)``: every entry
+        point of every contract class must be a plain function."""
+        for package in (repro.defi, repro.study, repro.tokens, repro.workload):
+            for module in pkgutil.walk_packages(package.__path__, package.__name__ + "."):
+                importlib.import_module(module.name)
+        classes, names = [Contract], set()
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+            for name in {n for k in cls.__mro__ for n, v in vars(k).items() if hasattr(v, "__external__")}:
+                names.add(name)
+                entry = cls.entry_point(name)
+                assert isinstance(entry, types.FunctionType), (cls, name)
+                assert entry is getattr(cls, name)
+        assert len(classes) > 20 and len(names) > 40
 
     def test_unknown_function_in_caught_call_consumes_one_seq(self, chain, funded_accounts):
         a = funded_accounts[0]
@@ -228,6 +288,29 @@ class TestDeployment:
         trace = chain.transact(a, deployer.address, "make")
         assert len(trace.creations) == 1
         assert chain.created_by[trace.creations[0].created] == deployer.address
+
+    def test_deployment_in_reverted_call_is_undone(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        factory = chain.deploy(a, Factory)
+        before, version = creation_graph(chain), chain.version
+        trace = chain.transact(a, factory.address, "make", True, allow_failure=True)
+        assert not trace.success and trace.creations == []
+        assert creation_graph(chain) == before
+        assert chain.version > version  # a generation counter never runs backwards
+        with pytest.raises(Revert):  # outside a transaction: no trace, same undo
+            chain.call(a, factory.address, "make", True)
+        assert creation_graph(chain) == before
+
+    def test_deployment_in_caught_call_is_undone(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        factory = chain.deploy(a, Factory)
+        contracts = set(chain.contracts)
+        trace = chain.transact(a, factory.address, "make_catching")
+        [kept] = set(chain.contracts) - contracts
+        assert [record.created for record in trace.creations] == [kept]
+        assert chain.creations[-1] == trace.creations[0]
+        assert chain.created_by[kept] == factory.address
+        assert "Factory: Child" not in chain.labels.values()
 
     def test_selfdestruct_removes_code(self, chain):
         a = chain.create_eoa()

@@ -111,6 +111,42 @@ class TestCheckpoints:
         assert state.depth == 0
 
 
+class TestMove:
+    def test_move_within_balance(self):
+        state = StateJournal()
+        state.set(A, "a", 10)
+        assert state.move(A, "a", "b", 4) == 10
+        assert (state.get(A, "a"), state.get(A, "b")) == (6, 4)
+
+    def test_short_move_writes_nothing(self):
+        state = StateJournal()
+        state.set(A, "a", 3)
+        state.checkpoint()
+        assert state.move(A, "a", "b", 5) == 3
+        assert state.get(A, "a") == 3 and not state.contains(A, "b")
+        assert len(state) == 1
+
+    def test_same_slot_is_a_no_op(self):
+        state = StateJournal()
+        state.set(A, "a", 7)
+        assert state.move(A, "a", "a", 7) == 7
+        assert state.get(A, "a") == 7
+
+    def test_zero_move_from_empty_slot_writes_both(self):
+        state = StateJournal()
+        assert state.move(A, "a", "b", 0) == 0
+        assert list(state.entries()) == [(A, "a", 0), (A, "b", 0)]
+
+    def test_rollback_restores_both_slots(self):
+        state = StateJournal()
+        state.set(A, "a", 10)
+        state.checkpoint()
+        state.move(A, "a", "a", 3)  # undone in reverse: the source's entry last
+        state.move(A, "a", "b", 4)
+        state.rollback()
+        assert list(state.entries()) == [(A, "a", 10)]
+
+
 class TestStorageView:
     def test_scoped_to_owner(self):
         state = StateJournal()
@@ -127,3 +163,10 @@ class TestStorageView:
         assert view.get("n") == 4
         view.delete("n")
         assert not view.contains("n")
+
+    def test_move_is_scoped_to_owner(self):
+        state = StateJournal()
+        view = StorageView(state, A)
+        view.set("a", 5)
+        assert view.move("a", "b", 2) == 5
+        assert list(state.entries()) == [(A, "a", 3), (A, "b", 2)]

@@ -17,6 +17,9 @@ op = st.one_of(
 #: write. Opening twice as often as closing lets programs nest deeply.
 step = st.tuples(st.sampled_from(["checkpoint", "checkpoint", "commit", "rollback", None]), op)
 
+#: a balance move: ``(owner, source slot, dest slot, amount)``.
+move = st.tuples(st.sampled_from(OWNERS), st.integers(0, 5), st.integers(0, 5), st.integers(0, 60))
+
 
 def apply_ops(state, model, ops):
     for kind, owner, slot, value in ops:
@@ -73,6 +76,31 @@ class TestJournalModel:
         state.commit()
         state.rollback()
         assert_matches(state, model)
+
+    @given(st.lists(st.tuples(step, move), max_size=40))
+    @settings(max_examples=150)
+    def test_move_journals_as_set_then_add(self, program):
+        """``move`` against ``set(source, held - amount)`` then
+        ``add(dest, amount)`` on a twin journal: same entries, in the same
+        order, after every step of any checkpoint program."""
+        state, twin, depth = StateJournal(), StateJournal(), 0
+        for (control, write), (owner, source, dest, amount) in program:
+            if control == "checkpoint":
+                state.checkpoint()
+                twin.checkpoint()
+                depth += 1
+            elif control is not None and depth:
+                getattr(state, control)()
+                getattr(twin, control)()
+                depth -= 1
+            apply_ops(state, {}, [write])
+            apply_ops(twin, {}, [write])
+            held = twin.get(owner, source, 0)
+            assert state.move(owner, source, dest, amount) == held
+            if held >= amount:
+                twin.set(owner, source, held - amount)
+                twin.add(owner, dest, amount)
+            assert list(state.entries()) == list(twin.entries())
 
     @given(st.lists(step, max_size=60))
     @settings(max_examples=150)

@@ -84,25 +84,73 @@ def test_error_kinds_map_to_client_exceptions(served):
             client.submit(CONFIG)
 
 
-@pytest.mark.parametrize("idle_client", [False, True], ids=["no-client", "idle-client"])
-def test_stop_returns_promptly(tmp_path, idle_client):
-    """``stop()`` wakes the accept loop and a handler parked on an idle
-    client instead of waiting out their join timeouts."""
+@pytest.mark.parametrize("client_kind", ["no-client", "idle-client", "parked-wait"])
+def test_stop_returns_promptly(tmp_path, client_kind):
+    """``stop()`` wakes the accept loop, a handler parked on an idle
+    client and one parked in a blocking ``wait`` on a run that never
+    finishes, instead of waiting out their join timeouts."""
     import time
 
+    gate = threading.Event()
     with ScanService(tmp_path) as service:
+        service._execute = lambda record: gate.wait(60)  # the run never finishes
         server = ServiceServer(service)
         server.start()
-        client = ServiceClient(server.address) if idle_client else None
+        client = ServiceClient(server.address) if client_kind != "no-client" else None
         try:
-            if client is not None:
+            if client_kind == "idle-client":
                 assert client.ping()  # its handler now blocks on the next read
+            if client_kind == "parked-wait":
+                run_id = client.submit(CONFIG)["run_id"]
+                send_message(
+                    client._sock,
+                    {"type": "wait", "protocol_version": SERVICE_PROTOCOL_VERSION,
+                     "run_id": run_id},
+                )
+                time.sleep(0.3)  # the handler is now inside the blocking wait
             started = time.monotonic()
             server.stop()
             assert time.monotonic() - started < 1.0
+            if client_kind == "parked-wait":
+                response = recv_message(client._sock)
+                assert (response["ok"], response["kind"]) == (False, "stopping")
+                assert service.status(run_id)["state"] == "running"
         finally:
+            gate.set()
             if client is not None:
                 client.close()
+
+
+def test_blocking_wait_request(served):
+    """The server-side ``wait``: a finished run's view, or the timeout
+    kind while it is still going."""
+    service, server = served
+    gate = threading.Event()
+    service._execute = lambda record: gate.wait(60)
+    with ServiceClient(server.address) as client:
+        run_id = client.submit(CONFIG)["run_id"]
+        with pytest.raises(TimeoutError, match="after 0.5s"):
+            client.request("wait", run_id=run_id, timeout=0.5)
+        gate.set()
+        view = client.request("wait", run_id=run_id, timeout=30)["run"]
+        assert view["state"] == "completed"
+
+
+def test_finished_connections_are_pruned(served):
+    """A resident server keeps no entry for a client that has gone."""
+    import time
+
+    _, server = served
+    for _ in range(50):
+        with ServiceClient(server.address) as client:
+            assert client.ping()
+    deadline = time.monotonic() + 10
+    while any(thread.is_alive() for thread, _ in server._conns):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    with ServiceClient(server.address) as client:
+        assert client.ping()  # accepting this client prunes the 50 others
+        assert [thread.is_alive() for thread, _ in server._conns] == [True]
 
 
 def test_protocol_version_mismatch_is_refused(served):
