@@ -116,6 +116,9 @@ class Chain:
         #: creator -> list of created contracts, and the reverse edge.
         self.created_by: dict[Address, Address] = {}
         self.creations: list[CreationRecord] = []
+        #: ``(seq, address, contract)`` of each contract destroyed inside
+        #: a call, kept until the transaction ends so a revert can restore it.
+        self._destroyed: list[tuple[int, Address, Contract]] = []
         #: generation counters: ``version`` advances on any creation-graph
         #: or label change, ``labels_version`` on label changes only.
         #: Consumers (account tagging) compare one int instead of
@@ -266,6 +269,12 @@ class Chain:
             result = entry(contract, Msg(caller, value), *args, **kwargs)
         except ChainError:
             state.rollback()
+            # restore destroyed contracts before undoing deployments, so a
+            # contract deployed and destroyed in this subtree ends up gone
+            destroyed = self._destroyed
+            while destroyed and destroyed[-1][0] >= mark:
+                _, address, destroyed_contract = destroyed.pop()
+                self.contracts[address] = destroyed_contract
             creations = self.creations
             if creations and creations[-1].seq >= mark:
                 self._undeploy(mark)
@@ -333,6 +342,8 @@ class Chain:
             self.state.commit()
         finally:
             self._trace = None
+            # the transaction is over: no revert can restore its destroys
+            self._destroyed.clear()
         if self.keep_history:
             block.traces.append(trace)
         return trace
@@ -396,8 +407,14 @@ class Chain:
                 del self.labels[address]
 
     def destroy(self, address: Address) -> None:
-        """``selfdestruct``: drop the code, keep the history (Sec. VI-D2)."""
-        self.contracts.pop(address, None)
+        """``selfdestruct``: drop the code, keep the history (Sec. VI-D2).
+
+        Inside a call the destroy is stamped with a sequence number, as a
+        deployment is, so a call that reverts restores the contract."""
+        contract = self.contracts.pop(address, None)
+        if contract is not None and self._depth:
+            self._destroyed.append((self._seq, address, contract))
+            self._seq += 1
 
     # ------------------------------------------------------------------
     # blocks

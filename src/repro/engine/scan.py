@@ -125,7 +125,6 @@ def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext
     # local imports keep worker startup lean under the spawn start method
     from ..leishen.heuristics import YieldAggregatorHeuristic
     from ..leishen.profit import ProfitAnalyzer
-    from ..leishen.registry import enabled_pattern_keys
     from ..workload.attacks import WildAttackInjector
     from ..workload.generator import PatternRow
     from ..workload.profiles import WildMarket
@@ -137,10 +136,7 @@ def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext
     world.chain.keep_history = cfg.keep_history
     market = WildMarket(world, rng)
     injector = WildAttackInjector(market, rng, cfg.scale)
-    if cfg.pattern_config is not None:
-        detector = world.detector(patterns=cfg.pattern_config)
-    else:
-        detector = world.detector()
+    detector = world.detector(patterns=cfg.pattern_config)
     profiler = None
     if profiling:
         from ..runtime.profile import StageProfiler
@@ -157,10 +153,7 @@ def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext
         heuristic=YieldAggregatorHeuristic(detector.tagger),
         analyzer=ProfitAnalyzer(world.registry),
         result=ShardResult(shard_index=shard_index),
-        rows={
-            name: PatternRow(name)
-            for name in enabled_pattern_keys(cfg.pattern_config)
-        },
+        rows={name: PatternRow(name) for name in cfg.pattern_config.enabled},
         profiler=profiler,
     )
 
@@ -278,15 +271,11 @@ def merge_shard_results(config, outcomes: list[ShardResult]):
     ``shard_index`` before summing, the merged result is byte-identical no
     matter which process, host or completion order produced the shards.
     """
-    from ..leishen.registry import enabled_pattern_keys
     from ..workload.generator import PatternRow, WildScanResult
 
     result = WildScanResult(
         config=config,
-        rows={
-            name: PatternRow(name)
-            for name in enabled_pattern_keys(config.pattern_config)
-        },
+        rows={name: PatternRow(name) for name in config.pattern_config.enabled},
     )
     for outcome in sorted(outcomes, key=lambda outcome: outcome.shard_index):
         result.total_transactions += outcome.total_transactions

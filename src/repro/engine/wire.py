@@ -54,10 +54,12 @@ __all__ = [
 #: codec's field set changes; decoders reject anything else.
 #: v2: configs carry ``split_attacks`` (cross-transaction split-attack
 #: groups — identity-relevant, it changes the canonical schedule) and
-#: ground truths carry ``split_group``. Still v2: ``pattern_config``
-#: may be a namespaced pattern-settings object, configs may carry
-#: ``adversarial`` and truths ``family`` — all optional-at-default, so
-#: v2 payloads written by older builds decode unchanged.
+#: ground truths carry ``split_group``. Still v2: configs may carry
+#: ``adversarial`` and truths ``family``, both optional-at-default.
+#: ``pattern_config`` is ``null`` for the paper defaults and otherwise
+#: the namespaced pattern-settings object; the flat four-field object
+#: older builds wrote still decodes, into the same settings. So v2
+#: payloads written by older builds decode unchanged.
 WIRE_VERSION = 2
 
 _CONFIG_FIELDS = frozenset(
@@ -66,13 +68,9 @@ _CONFIG_FIELDS = frozenset(
 )
 #: fields omitted from the payload when at their default value.
 _CONFIG_OPTIONAL = frozenset({"adversarial"})
-_PATTERN_FIELDS = frozenset(
-    {"krp_min_buys", "sbs_min_volatility", "sbs_amount_tolerance",
-     "mbs_min_rounds"}
-)
-#: the namespaced encoding of a ``PatternSettings`` (vs. the flat legacy
-#: ``PatternConfig`` encoding above) — distinguished by the ``enabled``
-#: key, which the flat form can never carry.
+#: the namespaced encoding of a ``PatternSettings`` — told apart from
+#: the flat form older builds wrote by the ``enabled`` key, which the
+#: flat form never carries.
 _SETTINGS_FIELDS = frozenset({"enabled", "params", "registry"})
 _TRUTH_FIELDS = frozenset(
     {"is_attack", "profile", "net_profit", "source_disclosed",
@@ -113,52 +111,48 @@ def _check_version(payload: dict, what: str) -> None:
         )
 
 
-def _pattern_config_to_wire(cfg):
-    """Encode either pattern-config flavour; ``None`` passes through.
+def _pattern_config_to_wire(settings):
+    """``null`` for the paper defaults, else the namespaced object: the
+    enabled keys, the per-pattern params and the registry version."""
+    from ..leishen.registry import PAPER_PATTERN_KEYS, REGISTRY_VERSION
 
-    A flat :class:`~repro.leishen.patterns.PatternConfig` keeps its
-    legacy four-field encoding byte-for-byte. A
-    :class:`~repro.leishen.registry.PatternSettings` encodes the full
-    identity triple (enabled keys, per-pattern params, registry
-    version) — so changing the enabled set *or* any threshold yields a
-    distinct :func:`config_digest`.
-    """
-    if cfg is None:
+    if settings.enabled == PAPER_PATTERN_KEYS and not settings.params:
         return None
-    from ..leishen.registry import PatternSettings
-
-    if isinstance(cfg, PatternSettings):
-        return {
-            "enabled": list(cfg.enabled),
-            "params": {
-                key: dict(values) for key, values in cfg.params
-            },
-            "registry": cfg.registry_version,
-        }
     return {
-        "krp_min_buys": cfg.krp_min_buys,
-        "sbs_min_volatility": cfg.sbs_min_volatility,
-        "sbs_amount_tolerance": cfg.sbs_amount_tolerance,
-        "mbs_min_rounds": cfg.mbs_min_rounds,
+        "enabled": list(settings.enabled),
+        "params": {key: dict(values) for key, values in settings.params},
+        "registry": REGISTRY_VERSION,
     }
 
 
-def _pattern_config_from_wire(payload, what: str):
+def _pattern_config_from_wire(payload):
+    """Decode any pattern-config form ever written into ``PatternSettings``:
+    ``null``, the namespaced object, or the flat four-field object of the
+    paper's three patterns."""
+    from ..leishen.registry import REGISTRY_VERSION, PatternSettings
+
     if payload is None:
-        return None
+        return PatternSettings()
     if isinstance(payload, dict) and "enabled" in payload:
-        from ..leishen.registry import PatternSettings
-
-        _check_payload(payload, _SETTINGS_FIELDS, what)
-        return PatternSettings.make(
-            enabled=payload["enabled"],
-            params=payload["params"],
-            registry_version=payload["registry"],
-        )
-    from ..leishen.patterns import PatternConfig
-
-    _check_payload(payload, _PATTERN_FIELDS, what)
-    return PatternConfig(**payload)
+        _check_payload(payload, _SETTINGS_FIELDS, "pattern config")
+        version = payload["registry"]
+        if type(version) is not int or version != REGISTRY_VERSION:
+            raise ValueError(
+                f"pattern config: registry version mismatch — payload says "
+                f"{version!r}, this build's registry is v{REGISTRY_VERSION}"
+            )
+        return PatternSettings(enabled=payload["enabled"], params=payload["params"])
+    flat = {
+        "krp_min_buys": ("KRP", "min_buys"),
+        "sbs_min_volatility": ("SBS", "min_volatility"),
+        "sbs_amount_tolerance": ("SBS", "amount_tolerance"),
+        "mbs_min_rounds": ("MBS", "min_rounds"),
+    }
+    _check_payload(payload, frozenset(flat), "pattern config")
+    params: dict[str, dict] = {}
+    for field, (key, name) in flat.items():
+        params.setdefault(key, {})[name] = payload[field]
+    return PatternSettings(params=params)
 
 
 def config_to_wire(config) -> dict:
@@ -195,9 +189,7 @@ def config_from_wire(payload: dict):
         seed=payload["seed"],
         with_heuristic=payload["with_heuristic"],
         keep_history=payload["keep_history"],
-        pattern_config=_pattern_config_from_wire(
-            payload["pattern_config"], "pattern config"
-        ),
+        pattern_config=_pattern_config_from_wire(payload["pattern_config"]),
         jobs=1,
         shards=payload["shards"],
         split_attacks=payload["split_attacks"],
@@ -208,11 +200,13 @@ def config_from_wire(payload: dict):
 def config_digest(config) -> str:
     """Stable content digest of a scan config's identity-relevant fields.
 
-    SHA-256 over the canonical JSON of :func:`config_to_wire`, so two
-    configs digest equal exactly when they would produce byte-identical
-    scans. The run ledger records this in its header and refuses to
-    resume under a different config — silently merging shards from a
-    different scan is the one corruption a journal must make impossible.
+    SHA-256 over the canonical JSON of :func:`config_to_wire`. Every
+    spelling of one pattern selection builds the same canonical
+    ``PatternSettings``, so two configs digest equal exactly when they
+    describe the same scan. The run ledger records this in its header
+    and refuses to resume under a different config — silently merging
+    shards from a different scan is the one corruption a journal must
+    make impossible.
     """
     blob = json.dumps(config_to_wire(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

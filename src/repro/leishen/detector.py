@@ -25,7 +25,7 @@ from ..chain.trace import TransactionTrace
 from ..chain.types import Address, ZERO_ADDRESS
 from .identify import FlashLoanIdentifier
 from .labels import LabelDatabase
-from .patterns import PatternConfig, PatternMatcher
+from .patterns import PatternMatcher
 from .registry import PatternSettings
 from .report import AttackReport
 from .simplify import AppTransfer, SimplifierConfig, TransferSimplifier
@@ -43,13 +43,9 @@ class LeiShenConfig:
     """End-to-end detector configuration."""
 
     simplifier: SimplifierConfig = field(default_factory=SimplifierConfig)
-    #: pattern selection + thresholds: a legacy flat ``PatternConfig``,
-    #: a namespaced :class:`~repro.leishen.registry.PatternSettings`
-    #: (which can also enable non-paper patterns), or ``None`` for the
-    #: paper defaults.
-    patterns: "PatternConfig | PatternSettings | None" = field(
-        default_factory=PatternConfig
-    )
+    #: pattern selection + thresholds (the default is the paper's three
+    #: patterns at their calibrated thresholds).
+    patterns: PatternSettings = PatternSettings()
     #: ablation switch: skip tagging/simplification and run patterns on
     #: raw account-level transfers (DESIGN.md ablation 1).
     use_app_level_transfers: bool = True

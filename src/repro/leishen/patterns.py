@@ -23,11 +23,13 @@ Implementation notes (documented deviations):
   transfer fees make exact integer equality brittle.
 
 The matching logic itself lives in :mod:`repro.leishen.registry` as
-pluggable pattern classes; :class:`PatternMatcher` is the thin façade
-that selects and runs the enabled plugins. Pattern identity is the
-registry *key* string everywhere; :class:`AttackPattern` is a
-``StrEnum`` over the paper keys so ``match.pattern == AttackPattern.KRP``
-and plain ``"KRP"`` comparisons are interchangeable.
+pluggable pattern classes, and the thresholds above are their
+``defaults``; :class:`PatternMatcher` is the thin façade that selects
+and runs the plugins a :class:`~repro.leishen.registry.PatternSettings`
+enables. Pattern identity is the registry *key* string everywhere;
+:class:`AttackPattern` is a ``StrEnum`` over the paper keys so
+``match.pattern == AttackPattern.KRP`` and plain ``"KRP"`` comparisons
+are interchangeable.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from operator import attrgetter
 from typing import Sequence
 
 from ..chain.types import Address
+from .registry import PatternSettings, default_registry
 from .tagging import Tag
 from .trades import Trade
 
-__all__ = ["AttackPattern", "PatternConfig", "PatternMatch", "PatternMatcher"]
+__all__ = ["AttackPattern", "PatternMatch", "PatternMatcher"]
 
 _by_seq = attrgetter("seq")
 
@@ -52,20 +55,6 @@ class AttackPattern(enum.StrEnum):
     KRP = "KRP"
     SBS = "SBS"
     MBS = "MBS"
-
-
-@dataclass(frozen=True, slots=True)
-class PatternConfig:
-    """Detection thresholds; defaults are the paper's calibrated minima."""
-
-    #: KRP condition (c): minimum number of buy trades.
-    krp_min_buys: int = 5
-    #: SBS condition (c): minimum relative price rise between trade1 and trade2.
-    sbs_min_volatility: float = 0.28
-    #: SBS condition (a): relative tolerance on the symmetrical amounts.
-    sbs_amount_tolerance: float = 0.001
-    #: MBS condition (c): minimum number of profitable rounds.
-    mbs_min_rounds: int = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,10 +81,8 @@ class PatternMatch:
 class PatternMatcher:
     """Runs the enabled registry patterns over a transaction's trade list."""
 
-    def __init__(self, config=None) -> None:
-        from .registry import PatternSettings, default_registry
-
-        self.settings = PatternSettings.from_value(config)
+    def __init__(self, settings: PatternSettings = PatternSettings()) -> None:
+        self.settings = settings
         self.registry = default_registry()
         #: the enabled plugins in match order, each with its parameters
         #: resolved from the settings
@@ -103,11 +90,6 @@ class PatternMatcher:
             (pattern, pattern.config(self.settings))
             for pattern in self.registry.select(self.settings.enabled)
         )
-
-    @property
-    def config(self) -> PatternConfig:
-        """Flat paper-config view (legacy callers; paper thresholds only)."""
-        return self.settings.to_legacy_config()
 
     def match(self, trades: Sequence[Trade], borrower: Tag) -> list[PatternMatch]:
         """All pattern matches for the given flash-loan borrower tag."""

@@ -17,18 +17,16 @@ payloads, and ground-truth labels all carry these keys; the
 :class:`~repro.leishen.patterns.AttackPattern` enum is a thin
 ``StrEnum`` alias over the paper keys kept for ergonomic comparisons.
 
-Configuration is namespaced per pattern key via
-:class:`PatternSettings` — a frozen, hashable value carrying the
-*enabled* key tuple (match order!) and per-pattern parameter
-overrides. The legacy flat :class:`PatternConfig` field names
-(``krp_min_buys`` …) are still accepted everywhere a settings value is
-and normalise through :meth:`PatternSettings.from_value`; with the
-default registry the results are byte-identical to the pre-registry
-matcher.
+Configuration is one type, :class:`PatternSettings`: a frozen,
+hashable value carrying the *enabled* key tuple (match order!) and
+per-pattern parameter overrides. It is canonical when built, so every
+spelling of one selection compares equal, and ``config_digest`` gives
+one scan one digest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
@@ -36,8 +34,8 @@ from ..chain.types import Address
 from .tagging import Tag
 from .trades import Trade, TradeKind
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (patterns imports us lazily)
-    from .patterns import PatternConfig, PatternMatch
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (patterns imports us)
+    from .patterns import PatternMatch
 
 __all__ = [
     "ALL_PATTERN_KEYS",
@@ -48,11 +46,10 @@ __all__ = [
     "PatternRegistry",
     "PatternSettings",
     "default_registry",
-    "enabled_pattern_keys",
 ]
 
-#: Bumped whenever a plugin's matching semantics change; part of the
-#: run identity whenever a :class:`PatternSettings` is in play.
+#: Bumped whenever a plugin's matching semantics change. The wire stamps
+#: it on every non-default pattern config and refuses any other value.
 REGISTRY_VERSION = 1
 
 #: The paper's three patterns, in the match order the pre-registry
@@ -62,76 +59,66 @@ PAPER_PATTERN_KEYS: tuple[str, ...] = ("KRP", "SBS", "MBS")
 #: Every pattern the default registry ships.
 ALL_PATTERN_KEYS: tuple[str, ...] = PAPER_PATTERN_KEYS + ("SANDWICH", "MINT", "DONATION")
 
-#: Legacy flat ``PatternConfig`` field -> (pattern key, parameter name).
-LEGACY_FIELD_MAP: dict[str, tuple[str, str]] = {
-    "krp_min_buys": ("KRP", "min_buys"),
-    "sbs_min_volatility": ("SBS", "min_volatility"),
-    "sbs_amount_tolerance": ("SBS", "amount_tolerance"),
-    "mbs_min_rounds": ("MBS", "min_rounds"),
-}
-
 
 @dataclass(frozen=True, slots=True)
 class PatternSettings:
-    """Namespaced pattern configuration: enabled keys + per-key params.
+    """Pattern configuration: enabled keys + per-key parameter overrides.
 
     Frozen and built from nested tuples so it hashes and equality-
     compares structurally — it participates in ``config_digest`` (the
     run identity), so two runs with different enabled sets or
-    thresholds are different runs.
+    thresholds are different runs. Canonical when built:
+
+    - ``enabled`` holds registry keys only, each once, in the given
+      order (the match order and the Table V row order);
+    - ``params`` (a mapping, or this stored tuple form) names registry
+      keys and each plugin's ``defaults``. Values are numbers: an
+      int-valued default takes ints only, a float-valued one any finite
+      number, stored as a float. Values equal to their default, groups
+      of disabled keys and empty groups are dropped; the rest is sorted.
+
+    Any other input raises ``ValueError`` naming the field.
     """
 
     #: Pattern keys to run, in match order.
     enabled: tuple[str, ...] = PAPER_PATTERN_KEYS
     #: ``((pattern_key, ((param, value), ...)), ...)`` sorted by key.
     params: tuple[tuple[str, tuple[tuple[str, float | int], ...]], ...] = ()
-    #: Registry semantics version the settings were authored against.
-    registry_version: int = REGISTRY_VERSION
+
+    def __post_init__(self) -> None:
+        registry = default_registry()
+        enabled = self.enabled
+        if not isinstance(enabled, (tuple, list)):
+            raise ValueError(
+                f"pattern settings: enabled must be a list of pattern keys, "
+                f"got {type(enabled).__name__}"
+            )
+        for key in enabled:
+            _check_key("enabled", key, registry)
+        if len(set(enabled)) != len(enabled):
+            raise ValueError(f"pattern settings: enabled repeats a key: {list(enabled)}")
+        groups = []
+        for key, group in _items(self.params, "params"):
+            _check_key("params", key, registry)
+            defaults = registry.get(key).defaults
+            values = []
+            for name, value in _items(group, f"params.{key}"):
+                value = _param(f"params.{key}", defaults, name, value)
+                if value != defaults[name]:
+                    values.append((name, value))
+            if key in enabled and values:
+                groups.append((key, tuple(sorted(values))))
+        object.__setattr__(self, "enabled", tuple(enabled))
+        object.__setattr__(self, "params", tuple(sorted(groups)))
 
     @classmethod
     def make(
         cls,
-        enabled: Sequence[str] | None = None,
+        enabled: Sequence[str] = PAPER_PATTERN_KEYS,
         params: Mapping[str, Mapping[str, float | int]] | None = None,
-        registry_version: int = REGISTRY_VERSION,
     ) -> "PatternSettings":
-        """Build settings from friendly dict/list inputs."""
-        keys = tuple(enabled) if enabled is not None else PAPER_PATTERN_KEYS
-        packed: tuple[tuple[str, tuple[tuple[str, float | int], ...]], ...] = ()
-        if params:
-            packed = tuple(
-                (key, tuple(sorted(values.items())))
-                for key, values in sorted(params.items())
-                if values
-            )
-        return cls(enabled=keys, params=packed, registry_version=registry_version)
-
-    @classmethod
-    def from_value(
-        cls, value: "PatternSettings | PatternConfig | None"
-    ) -> "PatternSettings":
-        """Normalise any accepted pattern-config value.
-
-        ``None`` means the defaults; a legacy flat
-        :class:`~repro.leishen.patterns.PatternConfig` maps through
-        :data:`LEGACY_FIELD_MAP`; a :class:`PatternSettings` passes
-        through unchanged.
-        """
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        from .patterns import PatternConfig
-
-        if isinstance(value, PatternConfig):
-            params: dict[str, dict[str, float | int]] = {}
-            for legacy, (key, name) in LEGACY_FIELD_MAP.items():
-                params.setdefault(key, {})[name] = getattr(value, legacy)
-            return cls.make(enabled=PAPER_PATTERN_KEYS, params=params)
-        raise TypeError(
-            f"pattern config must be PatternSettings, PatternConfig or None, "
-            f"got {type(value).__name__}"
-        )
+        """Build settings from friendly list/dict inputs."""
+        return cls(enabled, params or ())
 
     def params_for(self, key: str) -> dict[str, float | int]:
         for pattern_key, values in self.params:
@@ -139,19 +126,53 @@ class PatternSettings:
                 return dict(values)
         return {}
 
-    def param(self, key: str, name: str, default: float | int) -> float | int:
-        return self.params_for(key).get(name, default)
 
-    def to_legacy_config(self) -> "PatternConfig":
-        """Project onto the flat paper config (best effort; paper keys only)."""
-        from .patterns import PatternConfig
+def _items(value, field: str) -> list[tuple[str, object]]:
+    """The ``(name, value)`` pairs of a mapping, or of the stored tuple
+    form when its names are distinct strings."""
+    if isinstance(value, Mapping):
+        return list(value.items())
+    if isinstance(value, tuple) and all(
+        isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)
+        for item in value
+    ):
+        if len({name for name, _ in value}) == len(value):
+            return list(value)
+    raise ValueError(
+        f"pattern settings: {field} must be a mapping with one entry per name, "
+        f"got {type(value).__name__}"
+    )
 
-        base = PatternConfig()
-        kwargs = {
-            legacy: self.param(key, name, getattr(base, legacy))
-            for legacy, (key, name) in LEGACY_FIELD_MAP.items()
-        }
-        return PatternConfig(**kwargs)
+
+def _check_key(field: str, key, registry: "PatternRegistry") -> None:
+    if not isinstance(key, str) or key not in registry.keys():
+        raise ValueError(
+            f"pattern settings: {field} names unknown pattern key {key!r}; "
+            f"registered: {list(registry.keys())}"
+        )
+
+
+def _param(field: str, defaults: Mapping, name, value) -> float | int:
+    """One parameter value in canonical form (see :class:`PatternSettings`)."""
+    if name not in defaults:
+        raise ValueError(
+            f"pattern settings: {field} has no parameter {name!r}; known: {sorted(defaults)}"
+        )
+    field = f"{field}.{name}"
+    if isinstance(defaults[name], int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"pattern settings: {field} takes an int, got {value!r}")
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"pattern settings: {field} takes a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"pattern settings: {field} must be finite, got {value!r}")
+    # + 0.0 turns -0.0 into 0.0: equal settings must encode to equal bytes
+    return value + 0.0
 
 
 @runtime_checkable
@@ -563,8 +584,7 @@ class DonationInflation(PatternPlugin):
 class PatternRegistry:
     """Ordered, keyed collection of pattern plugins."""
 
-    def __init__(self, patterns: Sequence[Pattern], version: int = REGISTRY_VERSION):
-        self.version = version
+    def __init__(self, patterns: Sequence[Pattern]):
         self._patterns: dict[str, Pattern] = {}
         for pattern in patterns:
             if pattern.key in self._patterns:
@@ -601,10 +621,3 @@ _DEFAULT_REGISTRY = PatternRegistry(
 
 def default_registry() -> PatternRegistry:
     return _DEFAULT_REGISTRY
-
-
-def enabled_pattern_keys(
-    config: "PatternSettings | PatternConfig | None",
-) -> tuple[str, ...]:
-    """The enabled pattern keys for any accepted pattern-config value."""
-    return PatternSettings.from_value(config).enabled

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..chain.types import Address
-from .patterns import PatternConfig, PatternMatcher
+from .patterns import PatternMatcher
 from .registry import PatternSettings
 from .tagging import Tag
 from .trades import Trade
@@ -127,7 +127,7 @@ class WindowedMatcher:
     def __init__(
         self,
         window_blocks: int = DEFAULT_WINDOW_BLOCKS,
-        pattern_config: PatternConfig | PatternSettings | None = None,
+        pattern_config: PatternSettings = PatternSettings(),
     ) -> None:
         if window_blocks < 1:
             raise ValueError(f"window_blocks must be >= 1, got {window_blocks}")

@@ -195,10 +195,14 @@ class RunLedger:
         ``config``/``shard_count``, when given, must match the header —
         a ``config_digest`` or shard-count mismatch raises
         :class:`LedgerError` (resuming someone else's journal would merge
-        shards from a different scan). A torn trailing line (the mark of
-        a kill mid-append) is tolerated *and truncated away*, so records
-        appended by the resumed run land on a clean line boundary instead
-        of turning the tear into interior corruption at the next open.
+        shards from a different scan). The ledger's digest is re-derived
+        from its decoded header config, not read from the header, so a
+        ledger written under an older spelling of the same scan resumes;
+        a config that does not decode raises :class:`LedgerError`. A torn
+        trailing line (the mark of a kill mid-append) is tolerated *and
+        truncated away*, so records appended by the resumed run land on a
+        clean line boundary instead of turning the tear into interior
+        corruption at the next open.
         """
         path = Path(path)
         try:
@@ -221,13 +225,17 @@ class RunLedger:
         if header_line is None:
             raise LedgerError(f"{path}: undecodable header line")
         header = cls._parse_header(path, header_line)
-        ledger_config = config_from_wire(header["config"])
-        if config is not None and config_digest(config) != header["config_digest"]:
+        try:
+            ledger_config = config_from_wire(header["config"])
+        except ValueError as exc:
+            raise LedgerError(f"{path}: header config does not decode: {exc}") from None
+        ledger_digest = config_digest(ledger_config)
+        if config is not None and config_digest(config) != ledger_digest:
             raise LedgerError(
                 f"{path}: config digest mismatch — the ledger was written for "
                 f"(seed={header['seed']}, scale={header['scale']}, "
                 f"shard_count={header['shard_count']}, "
-                f"config_digest={header['config_digest']}), the caller is "
+                f"config_digest={ledger_digest}), the caller is "
                 f"resuming (seed={config.seed}, scale={config.scale}, "
                 f"shard_count={shard_count if shard_count is not None else 'auto'}, "
                 f"config_digest={config_digest(config)}); refusing to resume a "

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..leishen.patterns import PatternConfig
 from ..leishen.registry import PatternSettings
 from .attacks import FULL_SCALE_MIGRATIONS, FULL_SCALE_STRATEGIES  # noqa: F401 (re-export)
 from .profiles import GroundTruth
@@ -33,12 +32,11 @@ class WildScanConfig:
     with_heuristic: bool = False
     #: drop per-trace history to bound memory on full-scale runs.
     keep_history: bool = False
-    #: pattern selection + thresholds: a legacy flat ``PatternConfig``
-    #: (ablation sweeps override the paper defaults) or a namespaced
-    #: :class:`~repro.leishen.registry.PatternSettings` (which can also
-    #: change the *enabled* pattern set). Identity-relevant either way —
-    #: it rides the config wire and the digest.
-    pattern_config: PatternConfig | PatternSettings | None = None
+    #: pattern selection + thresholds: the enabled pattern set and any
+    #: threshold overrides (ablation sweeps relax the paper defaults).
+    #: Identity-relevant: it rides the config wire and the digest, where
+    #: the paper defaults encode as ``null``.
+    pattern_config: PatternSettings = PatternSettings()
     #: worker processes consuming the shards. Purely an execution knob:
     #: the result is byte-identical for any value (the schedule partition
     #: is a function of seed/scale/shards only, never of jobs).

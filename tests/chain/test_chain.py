@@ -82,6 +82,29 @@ class Factory(Contract):
         return kept.address
 
 
+class Doomed(Contract):
+    @external
+    def die(self, msg: Msg, fail: bool = False):
+        self.chain.destroy(self.address)
+        if fail:
+            raise Revert("undo the selfdestruct")
+
+    @external
+    def die_then_catch(self, msg: Msg, other):
+        """Destroy itself, then call ``other`` into a caught revert."""
+        self.chain.destroy(self.address)
+        try:
+            self.call(other, "die", True)
+        except Revert:
+            pass
+
+    @external
+    def make_and_kill(self, msg: Msg):
+        child = self.chain.deploy(self.address, Counter)
+        self.chain.destroy(child.address)
+        raise Revert("undo both")
+
+
 def creation_graph(chain) -> tuple:
     return (
         dict(chain.contracts), dict(chain.created_by), list(chain.creations), dict(chain.labels)
@@ -311,6 +334,37 @@ class TestDeployment:
         assert chain.creations[-1] == trace.creations[0]
         assert chain.created_by[kept] == factory.address
         assert "Factory: Child" not in chain.labels.values()
+
+    def test_selfdestruct_in_reverted_call_is_undone(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        doomed = chain.deploy(a, Doomed)
+        trace = chain.transact(a, doomed.address, "die", True, allow_failure=True)
+        assert not trace.success
+        assert chain.contract_at(doomed.address) is doomed
+        with pytest.raises(Revert):  # outside a transaction: no trace, same undo
+            chain.call(a, doomed.address, "die", True)
+        assert chain.contract_at(doomed.address) is doomed
+        chain.transact(a, doomed.address, "die")  # a committed one stays
+        assert not chain.is_contract(doomed.address)
+
+    def test_selfdestruct_in_caught_call_is_undone(self, chain, funded_accounts):
+        a = funded_accounts[0]
+        first, second = chain.deploy(a, Doomed), chain.deploy(a, Doomed)
+        trace = chain.transact(a, first.address, "die_then_catch", second.address)
+        assert trace.success
+        # the caller's own destroy precedes the reverted call, so it stays
+        assert not chain.is_contract(first.address)
+        assert chain.contract_at(second.address) is second
+
+    def test_deploy_and_selfdestruct_in_reverted_call_leave_nothing(
+        self, chain, funded_accounts
+    ):
+        a = funded_accounts[0]
+        doomed = chain.deploy(a, Doomed)
+        before = creation_graph(chain)
+        trace = chain.transact(a, doomed.address, "make_and_kill", allow_failure=True)
+        assert not trace.success
+        assert creation_graph(chain) == before
 
     def test_selfdestruct_removes_code(self, chain):
         a = chain.create_eoa()

@@ -3,9 +3,10 @@
 The enabled-pattern set and every per-pattern threshold are part of a
 scan's identity: two runs that would match different patterns must never
 share a ``config_digest`` (the run ledger and the scan service both key
-on it). Conversely the *default* selection must digest byte-identically
-to what older builds wrote, or every existing ledger and artifact would
-be orphaned by a refactor that changed no behaviour.
+on it). Conversely every spelling of one selection must share a digest,
+and the *default* selection must digest byte-identically to what older
+builds wrote, or every existing ledger and artifact would be orphaned by
+a refactor that changed no behaviour.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.engine.wire import (
     detection_from_wire,
     detection_to_wire,
 )
-from repro.leishen.patterns import PatternConfig
 from repro.leishen.registry import ALL_PATTERN_KEYS, PatternSettings
 from repro.workload.generator import Detection, WildScanConfig
 from repro.workload.profiles import GroundTruth
@@ -31,6 +31,21 @@ DEFAULT_DIGEST = "de714eea7fd338ee534d3797436ab318f3e52654ba3bb252912d145abb05ed
 #: same pin for the scale-0.01, seed-7 config that the wild-scan tests
 #: and the timing budgets run.
 BENCH_DIGEST = "cb02b363f73eaf3f0d1fed8946fedc76a279af943e8d60b41d0256f70869254a"
+
+#: the default config with all six plugins enabled, as older builds
+#: digested it.
+ALL_PATTERNS_DIGEST = "4a6a4403e5636614b6c4076b7a21a8b330ff4a023f9abb61e6df76a1795a2d86"
+
+#: the flat pattern config older builds wrote, at the paper's thresholds
+#: (older builds digested the default config with it as
+#: ``c2f246a888b8226e…``).
+FLAT = {"krp_min_buys": 5, "sbs_min_volatility": 0.28,
+        "sbs_amount_tolerance": 0.001, "mbs_min_rounds": 3}
+
+
+def with_pattern_config(pattern_config) -> dict:
+    """The default config's wire payload with ``pattern_config`` swapped in."""
+    return {**config_to_wire(WildScanConfig()), "pattern_config": pattern_config}
 
 
 class TestDigestPins:
@@ -62,16 +77,18 @@ class TestDigestSensitivity:
         assert config_digest(base) != config_digest(tuned)
 
     def test_legacy_threshold_changes_digest(self):
-        base = WildScanConfig(pattern_config=PatternConfig())
-        tuned = WildScanConfig(pattern_config=PatternConfig(krp_min_buys=6))
+        base = config_from_wire(with_pattern_config(FLAT))
+        tuned = config_from_wire(with_pattern_config({**FLAT, "krp_min_buys": 6}))
         assert config_digest(base) != config_digest(tuned)
 
-    def test_registry_version_changes_digest(self):
-        base = WildScanConfig(pattern_config=PatternSettings())
-        bumped = WildScanConfig(
-            pattern_config=PatternSettings(registry_version=99)
+    def test_registry_version_mismatch_is_refused(self):
+        payload = config_to_wire(
+            WildScanConfig(pattern_config=PatternSettings(enabled=ALL_PATTERN_KEYS))
         )
-        assert config_digest(base) != config_digest(bumped)
+        assert payload["pattern_config"]["registry"] == 1
+        payload["pattern_config"]["registry"] = 99
+        with pytest.raises(ValueError, match="payload says 99, this build's registry is v1"):
+            config_from_wire(payload)
 
     def test_adversarial_tail_changes_digest(self):
         assert config_digest(WildScanConfig(adversarial=3)) != DEFAULT_DIGEST
@@ -89,10 +106,9 @@ class TestWireRoundTrips:
         assert decoded.adversarial == 4
 
     def test_legacy_flat_config_round_trip(self):
-        config = WildScanConfig(pattern_config=PatternConfig(krp_min_buys=6))
-        decoded = config_from_wire(config_to_wire(config))
-        assert isinstance(decoded.pattern_config, PatternConfig)
-        assert decoded.pattern_config == config.pattern_config
+        decoded = config_from_wire(with_pattern_config({**FLAT, "krp_min_buys": 6}))
+        assert decoded.pattern_config == PatternSettings.make(params={"KRP": {"min_buys": 6}})
+        assert config_from_wire(config_to_wire(decoded)) == decoded
 
     def test_default_payload_omits_optional_fields(self):
         payload = config_to_wire(WildScanConfig())
@@ -113,8 +129,54 @@ class TestWireRoundTrips:
 
     def test_settings_payload_with_unknown_field_rejected(self):
         payload = config_to_wire(
-            WildScanConfig(pattern_config=PatternSettings())
+            WildScanConfig(pattern_config=PatternSettings(enabled=ALL_PATTERN_KEYS))
         )
         payload["pattern_config"]["surprise"] = 1
         with pytest.raises(ValueError, match="unknown field"):
             config_from_wire(payload)
+
+
+class TestOneDigestPerScan:
+    """Every spelling of one pattern selection is one scan identity."""
+
+    def test_paper_default_spellings_share_the_default_digest(self):
+        paper = {"KRP": {"min_buys": 5},
+                 "SBS": {"min_volatility": 0.28, "amount_tolerance": 0.001},
+                 "MBS": {"min_rounds": 3}}
+        spellings = [
+            WildScanConfig(),
+            WildScanConfig(pattern_config=PatternSettings()),
+            WildScanConfig(pattern_config=PatternSettings.make(params=paper)),
+            WildScanConfig(
+                pattern_config=PatternSettings.make(params={"MINT": {"min_dumps": 9}})
+            ),
+            config_from_wire(with_pattern_config(FLAT)),
+            config_from_wire(
+                with_pattern_config({"enabled": ["KRP", "SBS", "MBS"],
+                                     "params": paper, "registry": 1})
+            ),
+        ]
+        assert [config_digest(config) for config in spellings] == [DEFAULT_DIGEST] * 6
+
+    def test_all_patterns_digest_is_stable(self):
+        config = WildScanConfig(pattern_config=PatternSettings(enabled=ALL_PATTERN_KEYS))
+        assert config_digest(config) == ALL_PATTERNS_DIGEST
+        spelled = PatternSettings.make(
+            enabled=list(ALL_PATTERN_KEYS), params={"SANDWICH": {"amount_tolerance": 0.01}}
+        )
+        assert config_digest(WildScanConfig(pattern_config=spelled)) == ALL_PATTERNS_DIGEST
+
+    @pytest.mark.parametrize(
+        "pattern_config",
+        [
+            {"enabled": ["KRP", "SBS", "KRP"], "params": {}, "registry": 1},
+            {"enabled": ["KRP", "NOPE"], "params": {}, "registry": 1},
+            {"enabled": ["KRP"], "params": {"KRP": {"min_sells": 5}}, "registry": 1},
+            {"enabled": ["KRP"], "params": {}, "registry": 99},
+            {**FLAT, "krp_min_buys": "five"},
+        ],
+        ids=["duplicate-key", "unknown-key", "unknown-param", "registry-99", "flat-string"],
+    )
+    def test_non_canonical_spellings_are_refused(self, pattern_config):
+        with pytest.raises(ValueError, match="pattern"):
+            config_from_wire(with_pattern_config(pattern_config))

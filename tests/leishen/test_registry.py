@@ -3,17 +3,16 @@
 import pytest
 
 from repro.chain import Address
-from repro.leishen import PatternConfig, PatternMatcher, Trade, TradeKind
+from repro.engine.wire import config_from_wire, config_to_wire
+from repro.leishen import PatternMatcher, Trade, TradeKind
 from repro.leishen.registry import (
     ALL_PATTERN_KEYS,
-    LEGACY_FIELD_MAP,
     PAPER_PATTERN_KEYS,
-    REGISTRY_VERSION,
     PatternRegistry,
     PatternSettings,
     default_registry,
-    enabled_pattern_keys,
 )
+from repro.workload.generator import WildScanConfig
 
 X = Address("0x" + "aa" * 20)
 Q = Address("0x" + "bb" * 20)
@@ -28,6 +27,17 @@ def buy(seq, amount_q, amount_x, buyer=BORROWER, seller="Pool"):
 def sell(seq, amount_x, amount_q, buyer=BORROWER, seller="Venue"):
     return Trade(seq=seq, kind=TradeKind.SWAP, buyer=buyer, seller=seller,
                  amount_sell=amount_x, token_sell=X, amount_buy=amount_q, token_buy=Q)
+
+
+#: the flat pattern config older builds wrote, at the paper's thresholds
+FLAT = {"krp_min_buys": 5, "sbs_min_volatility": 0.28,
+        "sbs_amount_tolerance": 0.001, "mbs_min_rounds": 3}
+
+
+def from_wire(pattern_config) -> PatternSettings:
+    """Decode a pattern config through the scan-config wire codec."""
+    payload = {**config_to_wire(WildScanConfig()), "pattern_config": pattern_config}
+    return config_from_wire(payload).pattern_config
 
 
 class TestDefaultRegistry:
@@ -54,29 +64,72 @@ class TestDefaultRegistry:
 
 class TestPatternSettings:
     def test_none_normalizes_to_paper_defaults(self):
-        settings = PatternSettings.from_value(None)
+        settings = from_wire(None)
         assert settings == PatternSettings()
         assert settings.enabled == PAPER_PATTERN_KEYS
-        assert settings.registry_version == REGISTRY_VERSION
+        assert settings.params == ()
+        assert config_to_wire(WildScanConfig(pattern_config=settings))["pattern_config"] is None
 
     def test_settings_pass_through_unchanged(self):
         settings = PatternSettings(enabled=("KRP",))
-        assert PatternSettings.from_value(settings) is settings
+        assert PatternMatcher(settings).settings is settings
+        assert PatternSettings(settings.enabled, settings.params) == settings
 
     def test_legacy_flat_config_maps_field_for_field(self):
-        legacy = PatternConfig(krp_min_buys=6, sbs_min_volatility=0.5)
-        settings = PatternSettings.from_value(legacy)
+        settings = from_wire({**FLAT, "krp_min_buys": 6, "sbs_min_volatility": 0.5})
         assert settings.enabled == PAPER_PATTERN_KEYS
-        for field, (key, name) in LEGACY_FIELD_MAP.items():
-            assert settings.param(key, name, None) == getattr(legacy, field)
+        assert settings.params == (("KRP", (("min_buys", 6),)),
+                                   ("SBS", (("min_volatility", 0.5),)))
 
     def test_legacy_round_trips_through_settings(self):
-        legacy = PatternConfig(krp_min_buys=9, mbs_min_rounds=4)
-        assert PatternSettings.from_value(legacy).to_legacy_config() == legacy
+        settings = from_wire({**FLAT, "krp_min_buys": 9, "mbs_min_rounds": 4})
+        payload = config_to_wire(WildScanConfig(pattern_config=settings))["pattern_config"]
+        assert payload == {"enabled": list(PAPER_PATTERN_KEYS), "registry": 1,
+                           "params": {"KRP": {"min_buys": 9}, "MBS": {"min_rounds": 4}}}
+        assert from_wire(payload) == settings
+        assert from_wire(FLAT) == PatternSettings()
 
     def test_junk_value_rejected(self):
-        with pytest.raises(TypeError, match="pattern config must be"):
-            PatternSettings.from_value({"krp_min_buys": 5})
+        with pytest.raises(ValueError, match="enabled must be a list"):
+            PatternSettings(enabled=5)
+        with pytest.raises(ValueError, match="params must be a mapping"):
+            PatternSettings(params=[1])
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            from_wire(5)
+
+    def test_canonical_when_built(self):
+        settings = PatternSettings.make(
+            enabled=["MBS", "KRP"],
+            params={"MBS": {"min_rounds": 3}, "KRP": {"min_buys": 4},
+                    "SBS": {"min_volatility": 0.1}},
+        )
+        # order kept; default values and disabled groups dropped
+        assert settings.enabled == ("MBS", "KRP")
+        assert settings.params == (("KRP", (("min_buys", 4),)),)
+        assert PatternSettings.make(params={"SBS": {"min_volatility": 1}}).params == (
+            ("SBS", (("min_volatility", 1.0),)),
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"enabled": ("KRP", "KRP")}, "enabled repeats"),
+            ({"enabled": ("NOPE",)}, "enabled names unknown"),
+            ({"enabled": "KRP"}, "enabled must be a list"),
+            ({"params": {"NOPE": {"x": 1}}}, "params names unknown"),
+            ({"params": {"KRP": {"min_sells": 5}}}, "params.KRP has no parameter"),
+            ({"params": {"KRP": {"min_buys": "five"}}}, "params.KRP.min_buys"),
+            ({"params": {"KRP": {"min_buys": 5.0}}}, "params.KRP.min_buys takes an int"),
+            ({"params": {"KRP": {"min_buys": True}}}, "params.KRP.min_buys"),
+            ({"params": {"SBS": {"min_volatility": float("nan")}}}, "must be finite"),
+            ({"params": {"SBS": {"min_volatility": 10**400}}}, "must be finite"),
+            ({"params": {"KRP": [("min_buys", 6)]}}, "params.KRP must be a mapping"),
+            ({"params": (("KRP", ()), ("KRP", ()))}, "one entry per name"),
+        ],
+    )
+    def test_bad_input_names_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            PatternSettings(**kwargs)
 
     def test_make_sorts_params_structurally(self):
         a = PatternSettings.make(params={"SBS": {"min_volatility": 0.5},
@@ -86,10 +139,12 @@ class TestPatternSettings:
         assert a == b and hash(a) == hash(b)
 
     def test_enabled_pattern_keys_for_every_flavour(self):
-        assert enabled_pattern_keys(None) == PAPER_PATTERN_KEYS
-        assert enabled_pattern_keys(PatternConfig()) == PAPER_PATTERN_KEYS
+        for settings in (PatternSettings(), PatternSettings.make(),
+                         from_wire(None), from_wire(FLAT)):
+            assert settings.enabled == PAPER_PATTERN_KEYS
         custom = PatternSettings(enabled=("MINT", "KRP"))
-        assert enabled_pattern_keys(custom) == ("MINT", "KRP")
+        assert custom.enabled == ("MINT", "KRP")
+        assert from_wire({"enabled": ["MINT", "KRP"], "params": {}, "registry": 1}) == custom
 
 
 class TestMatcherSeam:
@@ -115,5 +170,6 @@ class TestMatcherSeam:
 
     def test_legacy_flat_config_still_drives_thresholds(self):
         series = self.krp_series(n=4)
-        matches = PatternMatcher(PatternConfig(krp_min_buys=4)).match(series, BORROWER)
+        settings = from_wire({**FLAT, "krp_min_buys": 4})
+        matches = PatternMatcher(settings).match(series, BORROWER)
         assert {m.pattern for m in matches} == {"KRP"}

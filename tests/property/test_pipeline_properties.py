@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from repro.chain import Address, ETHER
 from repro.leishen import (
-    PatternConfig,
     PatternMatcher,
+    PatternSettings,
     SimplifierConfig,
     TaggedTransfer,
     Trade,
@@ -111,9 +111,15 @@ class TestPatternProperties:
     @given(st.lists(random_trade, max_size=25))
     @settings(max_examples=80)
     def test_relaxed_thresholds_detect_superset(self, trades):
-        strict = PatternMatcher(PatternConfig())
+        strict = PatternMatcher(PatternSettings.make())
         relaxed = PatternMatcher(
-            PatternConfig(krp_min_buys=3, sbs_min_volatility=0.05, mbs_min_rounds=2)
+            PatternSettings.make(
+                params={
+                    "KRP": {"min_buys": 3},
+                    "SBS": {"min_volatility": 0.05},
+                    "MBS": {"min_rounds": 2},
+                }
+            )
         )
         strict_patterns = {m.pattern for m in strict.match(trades, "atk")}
         relaxed_patterns = {m.pattern for m in relaxed.match(trades, "atk")}

@@ -8,13 +8,20 @@ malformation refuses loudly instead of risking a wrong merge.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.plan import build_schedule, resolve_shard_count, shard_schedule
-from repro.engine.wire import WIRE_VERSION, config_digest, shard_result_to_wire
+from repro.engine.wire import (
+    WIRE_VERSION,
+    config_digest,
+    config_from_wire,
+    config_to_wire,
+    shard_result_to_wire,
+)
 from repro.runtime import LEDGER_VERSION, LedgerError, RunLedger, ensure_ledger
 from repro.workload.generator import WildScanConfig
 from tests.fingerprint import fingerprint
@@ -140,6 +147,66 @@ class TestCreateOpen:
         path.write_text('{"kind": "shard", "shard": 0}\n')
         with pytest.raises(LedgerError, match="not a ledger header"):
             RunLedger.open(path, config=config)
+
+
+#: the flat pattern config older builds wrote, at the paper's thresholds
+FLAT = {"krp_min_buys": 5, "sbs_min_volatility": 0.28,
+        "sbs_amount_tolerance": 0.001, "mbs_min_rounds": 3}
+
+
+def write_legacy_header(path, config, shard_count: int, **flat) -> dict:
+    """Write a header exactly as older builds did for ``config`` with a
+    flat pattern config: that config and its digest under that build."""
+    wire = {**config_to_wire(config), "pattern_config": {**FLAT, **flat}}
+    blob = json.dumps(wire, sort_keys=True, separators=(",", ":")).encode()
+    header = {
+        "kind": "header", "ledger_version": LEDGER_VERSION,
+        "wire_version": WIRE_VERSION, "seed": config.seed, "scale": config.scale,
+        "shard_count": shard_count, "config_digest": hashlib.sha256(blob).hexdigest(),
+        "config": wire,
+    }
+    path.write_text(json.dumps(header, sort_keys=True) + "\n")
+    return header
+
+
+class TestOldIdentities:
+    """A ledger's identity is re-derived from its decoded config: an old
+    spelling of the same scan resumes, a different scan is refused."""
+
+    def test_legacy_header_resumes_byte_identically(self, tmp_path, config, outcomes):
+        path = tmp_path / "run.ledger"
+        header = write_legacy_header(path, config, 4)
+        # what the previous build digested for this config
+        assert header["config_digest"] == (
+            "a2e244729ccf6330be745a75b78323d29be508fbe468ab46db5e27bb909a5949"
+        )
+        with RunLedger.open(path) as ledger:
+            for outcome in outcomes[:2]:
+                ledger.record(outcome)
+        with RunLedger.open(path, config=config, shard_count=4) as ledger:
+            assert ledger.config_digest == config_digest(config)
+            resumed = ScanEngine(config, ledger=ledger).run()
+            assert (ledger.resumed_count, ledger.recorded_count) == (2, 2)
+        assert fingerprint(resumed) == fingerprint(ScanEngine(config).run())
+
+    def test_legacy_header_of_another_scan_is_refused(self, tmp_path, config):
+        path = tmp_path / "run.ledger"
+        header = write_legacy_header(path, config, 4, krp_min_buys=6)
+        with pytest.raises(LedgerError, match="config digest mismatch") as info:
+            RunLedger.open(path, config=config, shard_count=4)
+        message = str(info.value)
+        assert config_digest(config) in message
+        assert config_digest(config_from_wire(header["config"])) in message
+
+    def test_undecodable_header_config_is_a_ledger_error(self, tmp_path, config):
+        path = tmp_path / "run.ledger"
+        RunLedger.create(path, config, 4)
+        header = json.loads(path.read_text())
+        header["config"]["pattern_config"] = {"enabled": 5, "params": {}, "registry": 1}
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(LedgerError, match="header config does not decode") as info:
+            RunLedger.open(path)
+        assert str(path) in str(info.value) and "enabled" in str(info.value)
 
 
 class TestDurabilityAndCorruption:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster.protocol import recv_message, send_message
 from repro.engine.scan import ScanEngine
-from repro.engine.wire import detection_to_wire
+from repro.engine.wire import config_to_wire, detection_to_wire
 from repro.service import (
     AdmissionError,
     ScanService,
@@ -183,6 +183,36 @@ def test_unknown_request_type_and_missing_fields(served):
             {"type": "submit", "protocol_version": SERVICE_PROTOCOL_VERSION},
         )
         assert "config" in recv_message(sock)["error"]
+
+
+@pytest.mark.parametrize(
+    "pattern_config",
+    [
+        {"enabled": 5, "params": {}, "registry": 1},
+        {"enabled": ["NOPE"], "params": {}, "registry": 1},
+        {"enabled": ["KRP"], "params": {"KRP": {"min_buys": "five"}}, "registry": 1},
+        {"krp_min_buys": "five", "sbs_min_volatility": 0.28,
+         "sbs_amount_tolerance": 0.001, "mbs_min_rounds": 3},
+    ],
+    ids=["enabled-int", "unknown-key", "param-string", "flat-string"],
+)
+def test_malformed_pattern_config_is_a_bad_request(served, tmp_path, pattern_config):
+    """A submit whose pattern config does not decode is answered with
+    ``bad-request``; the connection keeps serving and no run is created."""
+    _, server = served
+    config = {**config_to_wire(CONFIG), "pattern_config": pattern_config}
+    with socket.create_connection(server.address, timeout=10) as sock:
+        send_message(
+            sock,
+            {"type": "submit", "protocol_version": SERVICE_PROTOCOL_VERSION,
+             "config": config},
+        )
+        response = recv_message(sock)
+        assert (response["ok"], response["kind"]) == (False, "bad-request")
+        assert "pattern" in response["error"]
+        send_message(sock, {"type": "ping", "protocol_version": SERVICE_PROTOCOL_VERSION})
+        assert recv_message(sock)["ok"] is True
+    assert list((tmp_path / "runs").iterdir()) == []
 
 
 def test_malformed_frame_answers_then_hangs_up(served):

@@ -13,15 +13,19 @@ These are the acceptance pins for the multi-tenant tier:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.engine.plan import build_schedule, shard_schedule
 from repro.engine.scan import ScanEngine, run_shard
-from repro.engine.wire import detection_to_wire
+from repro.engine.wire import config_to_wire, detection_to_wire
+from repro.leishen.registry import PatternSettings
 from repro.runtime import RunLedger
+from repro.service.registry import RunRecord
 from repro.service import (
     AdmissionError,
     ScanService,
@@ -316,6 +320,89 @@ def test_restart_adopts_v1_manifests(tmp_path):
         assert service.results(queued)["detections"] == standalone_wire(other)
         assert "backend" not in done
     assert first.registry.ledger_path(completed).read_bytes() == ledger_bytes
+
+
+def test_default_spellings_coalesce_onto_one_run(tmp_path):
+    """Spelling the paper defaults out names the same run, whether that
+    run is still running or completed."""
+    gate = threading.Event()
+    with ScanService(tmp_path) as service:
+        inner = service._execute
+        service._execute = lambda record: (gate.wait(60), inner(record))
+        run_id = service.submit(CONFIG)[0]["run_id"]
+        view, coalesced = service.submit(replace(CONFIG, pattern_config=PatternSettings()))
+        assert coalesced and view["run_id"] == run_id
+        gate.set()
+        assert service.wait(run_id, timeout=120)["state"] == "completed"
+        paper = PatternSettings.make(params={"KRP": {"min_buys": 5}, "MBS": {"min_rounds": 3}})
+        view, coalesced = service.submit(replace(CONFIG, pattern_config=paper))
+        assert coalesced and view["run_id"] == run_id and view["state"] == "completed"
+        assert service.counters["submitted"] == 1
+
+
+def _legacy_wire(config) -> tuple[str, dict]:
+    """``config`` as older builds wrote it with a flat pattern config at
+    the paper's thresholds: its digest under those builds, and its wire
+    form."""
+    wire = {
+        **config_to_wire(config),
+        "pattern_config": {"krp_min_buys": 5, "sbs_min_volatility": 0.28,
+                           "sbs_amount_tolerance": 0.001, "mbs_min_rounds": 3},
+    }
+    blob = json.dumps(wire, sort_keys=True, separators=(",", ":")).encode()
+    digest = hashlib.sha256(blob).hexdigest()
+    return digest, wire
+
+
+def test_restart_adopts_legacy_run_under_its_old_id(tmp_path):
+    """A half-journaled run an older build submitted with a flat pattern
+    config resumes and serves under its old run id; a fresh submit of the
+    same scan gets the canonical id."""
+    digest, wire = _legacy_wire(CONFIG)
+    old_id = f"run-{digest[:16]}"
+    assert old_id == "run-b642163518e6ebe4"  # the previous build's run id
+    registry = ScanService(tmp_path).registry
+    registry.save(RunRecord(run_id=old_id, config=wire, config_digest=digest,
+                            state="running"))
+    header = {"kind": "header", "ledger_version": 2, "wire_version": 2,
+              "seed": CONFIG.seed, "scale": CONFIG.scale, "shard_count": 2,
+              "config_digest": digest, "config": wire}
+    path = registry.ledger_path(old_id)
+    path.write_text(json.dumps(header, sort_keys=True) + "\n")
+    parts = shard_schedule(build_schedule(CONFIG.scale, CONFIG.seed), 2)
+    with RunLedger.open(path) as ledger:
+        ledger.record(run_shard((CONFIG, 0, 2, parts[0])))
+
+    with ScanService(tmp_path) as service:
+        done = service.wait(old_id, timeout=120)
+        assert done["state"] == "completed", done["error"]
+        assert (done["shards_resumed"], done["shards_recorded"]) == (1, 1)
+        assert service.results(old_id)["detections"] == standalone_wire(CONFIG)
+        view, coalesced = service.submit(CONFIG)
+        assert not coalesced and view["run_id"] == run_id_for(CONFIG) != old_id
+
+
+def test_restart_fails_run_whose_ledger_header_does_not_decode(tmp_path):
+    """An undecodable ledger header fails its own run at start; the other
+    runs are adopted."""
+    other = WildScanConfig(scale=0.01, seed=11, shards=2)
+    dead = ScanService(tmp_path)
+    broken = dead.registry.create(CONFIG)
+    broken.state = "running"
+    dead.registry.save(broken)
+    ledger_path = dead.registry.ledger_path(broken.run_id)
+    RunLedger.create(ledger_path, CONFIG, 2).close()
+    header = json.loads(ledger_path.read_text())
+    header["config"]["pattern_config"] = {"enabled": 5, "params": {}, "registry": 1}
+    ledger_path.write_text(json.dumps(header) + "\n")
+    queued = dead.registry.create(other).run_id
+
+    with ScanService(tmp_path) as service:
+        failed = service.status(broken.run_id)
+        assert failed["state"] == "failed"
+        assert "header config does not decode" in failed["error"]
+        assert str(ledger_path) in failed["error"]
+        assert service.wait(queued, timeout=120)["state"] == "completed"
 
 
 def test_restart_requeues_never_started_run(tmp_path):
