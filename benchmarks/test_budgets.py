@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import signal
 import time
 from pathlib import Path
@@ -27,8 +28,14 @@ from repro.engine.plan import build_schedule, resolve_shard_count, shard_schedul
 from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.stream import StreamEngine
 from repro.experiments import robustness
+from repro.leishen.detector import LeiShen, LeiShenConfig
+from repro.leishen.registry import ALL_PATTERN_KEYS, PatternSettings
 from repro.runtime import RunLedger
+from repro.workload.attacks import WildAttackInjector
 from repro.workload.generator import WildScanConfig
+from repro.workload.mutate import Mutation
+from repro.workload.profiles import WildMarket
+from repro.world import DeFiWorld
 from tests.cluster.test_failover import (
     _dead_address,
     _journaled_shards,
@@ -59,6 +66,12 @@ ROBUSTNESS_MAX_S = 30.0
 BLOCK_P95_MAX_MS = 2_000.0
 #: jobs=4 over jobs=1 on a machine with at least four cores.
 MIN_SPEEDUP_AT_4 = 2.0
+#: one LeiShen.analyze call on the MBS attack padded with 100 extra
+#: rounds (412 trades); the paper's per-transaction mean is 10 ms.
+PADDED_ANALYZE_MAX_MS = 100.0
+#: padding 200 rounds instead of 100 may cost at most this factor: the
+#: pattern searches are quadratic in the trade count, not cubic.
+PADDED_DOUBLING_MAX = 4.5
 
 
 def effective_cpus() -> int:
@@ -276,3 +289,45 @@ def test_four_jobs_at_least_twice_as_fast():
     )
     speedup = sequential_s / parallel_s
     assert speedup >= MIN_SPEEDUP_AT_4, f"jobs=4 speedup {speedup:.2f}x"
+
+
+def padded_mbs_trace(rounds: int):
+    """The robustness harness's MBS attack with ``rounds`` extra vault
+    rounds, executed in a fresh world: ``(world, trace)``."""
+    rng = random.Random(f"padded-mbs:{SEED}")
+    world = DeFiWorld()
+    injector = WildAttackInjector(WildMarket(world, rng), rng, scale=1.0)
+    labeled = injector.execute(
+        robustness.family_clusters()["MBS"], 0, 0, 0, None,
+        mutation=Mutation("pad_rounds", f"{rounds} extra rounds", round_delta=rounds),
+        subsidize=True,
+    )
+    return world, labeled.trace
+
+
+@strict
+@pytest.mark.parametrize("enabled", [None, ALL_PATTERN_KEYS], ids=["paper", "all-six"])
+def test_padded_mbs_analyze_is_bounded(enabled):
+    """A flash-loan transaction padded with round trips holds a detector
+    for tens of milliseconds, not seconds. Best of five calls each, the
+    two sizes taken in turn so that a slow spell of the host slows both."""
+    settings = PatternSettings() if enabled is None else PatternSettings(enabled=enabled)
+    runs = {}
+    for rounds in (100, 200):
+        world, trace = padded_mbs_trace(rounds)
+        detector = LeiShen(world.chain, LeiShenConfig(patterns=settings))
+        report = detector.analyze(trace)
+        assert "MBS" in report.patterns
+        if rounds == 100:
+            assert len(report.trades) == 412
+        runs[rounds] = (detector, trace)
+    best_ms = dict.fromkeys(runs, float("inf"))
+    for _ in range(5):
+        for rounds, (detector, trace) in runs.items():
+            _, elapsed = timed(detector.analyze, trace)
+            best_ms[rounds] = min(best_ms[rounds], elapsed * 1e3)
+    assert best_ms[100] < PADDED_ANALYZE_MAX_MS, f"k=100: {best_ms[100]:.1f}ms"
+    growth = best_ms[200] / best_ms[100]
+    assert growth <= PADDED_DOUBLING_MAX, (
+        f"k=100 -> 200 cost {growth:.2f}x ({best_ms[100]:.1f} -> {best_ms[200]:.1f}ms)"
+    )

@@ -36,6 +36,7 @@ from time import perf_counter_ns
 from ..chain.errors import ChainError
 from ..world import DeFiWorld, ETHEREUM_PROFILE
 from ..workload.attacks import ADVERSARIAL_CLUSTERS, ATTACK_CLUSTERS
+from ..workload.generator import Detection, PatternRow, WildScanResult
 from ..workload.profiles import (
     BENIGN_PROFILES,
     profile_migration,
@@ -126,7 +127,6 @@ def build_shard_context(cfg, shard_index: int, shard_count: int) -> ShardContext
     from ..leishen.heuristics import YieldAggregatorHeuristic
     from ..leishen.profit import ProfitAnalyzer
     from ..workload.attacks import WildAttackInjector
-    from ..workload.generator import PatternRow
     from ..workload.profiles import WildMarket
 
     profiling = bool(getattr(cfg, "profile", False))
@@ -271,8 +271,6 @@ def merge_shard_results(config, outcomes: list[ShardResult]):
     ``shard_index`` before summing, the merged result is byte-identical no
     matter which process, host or completion order produced the shards.
     """
-    from ..workload.generator import PatternRow, WildScanResult
-
     result = WildScanResult(
         config=config,
         rows={name: PatternRow(name) for name in config.pattern_config.enabled},
@@ -295,8 +293,6 @@ def detect_into(cfg, labeled, detector, heuristic, analyzer, detections, rows):
     Returns the analysis report (``None`` for non-flash-loan
     transactions) so callers can observe trades of identified-but-clean
     transactions — the windowed matcher's input."""
-    from ..workload.generator import Detection
-
     report = detector.analyze(labeled.trace)
     if report is None:
         return None  # not identified as a flash loan transaction

@@ -27,7 +27,9 @@ one scan one digest.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
 from ..chain.types import Address
@@ -222,6 +224,133 @@ def _match(pattern: str, token: Address, trades, details) -> "PatternMatch":
     )
 
 
+def _group_by(trades: Sequence[Trade], key) -> dict:
+    """``trades``, in seq order, grouped by ``key``: value -> (seqs, trades)."""
+    groups: dict = {}
+    for trade in trades:
+        groups.setdefault(key(trade), []).append(trade)
+    return {value: ([t.seq for t in group], group) for value, group in groups.items()}
+
+
+def _fits(trades: Sequence[Trade], rate) -> bool:
+    """Whether every trade's ``rate`` fits a float."""
+    try:
+        for trade in trades:
+            rate(trade)
+    except OverflowError:
+        return False
+    return True
+
+
+def _rate_groups(buys: Sequence[Trade], key) -> "dict[object, _RateGroup]":
+    """Buys grouped by ``key``, for SBS's and SANDWICH's middle trade t2:
+    the first buy between t1 and t3 whose sell rate passes a test that
+    only gets easier as the rate grows. Built inside one ``match`` call,
+    once a (t1, t3) pair passes the amount test, and dropped with it."""
+    return {
+        value: _RateGroup(seqs, group) for value, (seqs, group) in _group_by(buys, key).items()
+    }
+
+
+def _all_fit(groups: "dict[object, _RateGroup]") -> bool:
+    """Whether every grouped buy's sell rate fits a float."""
+    return not any(group.overflows for group in groups.values())
+
+
+class _RateGroup:
+    """One key's buys in seq order, with their sell rates."""
+
+    __slots__ = ("seqs", "trades", "rates", "overflows", "errors", "_suffix_max")
+
+    def __init__(self, seqs: list[int], trades: list[Trade]) -> None:
+        self.seqs = seqs
+        self.trades = trades
+        self.rates: list[float] = []
+        #: positions whose sell rate overflows a float, with their errors
+        self.overflows: list[int] = []
+        self.errors: list[OverflowError] = []
+        for position, trade in enumerate(trades):
+            try:
+                rate = trade.sell_rate
+            except OverflowError as exc:
+                rate = -math.inf
+                self.overflows.append(position)
+                self.errors.append(exc)
+            self.rates.append(rate)
+        self._suffix_max: list[float] | None = None
+
+    def suffix_max(self, position: int) -> float:
+        """The maximum rate from ``position`` on (``-inf`` past the end)."""
+        if self._suffix_max is None:
+            suffix = self._suffix_max = [*self.rates, -math.inf]
+            for i in range(len(self.rates) - 1, -1, -1):
+                if suffix[i + 1] > suffix[i]:
+                    suffix[i] = suffix[i + 1]
+        return self._suffix_max[position]
+
+
+class _Window:
+    """One t1's t2 candidates: the group's buys with seq > ``after``,
+    at positions ``lo`` on.
+
+    t3 only moves right, so the candidates before it only grow, and the
+    window keeps the maximum rate of those it has seen. When that
+    maximum fails the test every candidate does, because the test only
+    gets easier as the rate grows; so the window looks for the first
+    passing candidate only once it knows there is one.
+    """
+
+    __slots__ = ("group", "lo", "seen", "best", "overflow")
+
+    def __init__(self, group: _RateGroup | None, after: int) -> None:
+        if group is None:
+            group = _RateGroup([], [])  # no buy under t1's key
+        self.group = group
+        self.lo = self.seen = bisect_right(group.seqs, after)
+        #: index into ``group.overflows`` of the first one from ``lo`` on
+        self.overflow = bisect_left(group.overflows, self.lo)
+        self.best = -math.inf
+
+    def may_pass(self, passes) -> bool:
+        """Whether any candidate's rate passes: their maximum's does."""
+        return passes(self.group.suffix_max(self.lo))
+
+    def end(self, before: int) -> int | None:
+        """The end of the candidates with seq < ``before``; ``None`` when
+        there are none."""
+        hi = bisect_left(self.group.seqs, before, self.lo)
+        return hi if hi > self.lo else None
+
+    def first(self, hi: int, passes) -> tuple[Trade, float] | None:
+        """``(trade, rate)`` of the first candidate before ``hi`` whose rate
+        passes, or ``None``; ``passes=None`` means no rate passes. ``hi``
+        must not fall from one call to the next.
+
+        A scan of the candidates computes each one's rate until one
+        passes, so a rate that overflows before the match raises; so it
+        does here.
+        """
+        group = self.group
+        overflows = group.overflows
+        stop = hi
+        if self.overflow < len(overflows) and overflows[self.overflow] < hi:
+            stop = overflows[self.overflow]
+        rates = group.rates
+        best = self.best
+        for position in range(self.seen, stop):
+            if rates[position] > best:
+                best = rates[position]
+        self.best = best
+        self.seen = stop
+        if passes is not None and passes(best):
+            for position in range(self.lo, stop):
+                if passes(rates[position]):
+                    return group.trades[position], rates[position]
+        if stop < hi:
+            raise group.errors[self.overflow]
+        return None
+
+
 # -- KRP — Keep Raising Price -------------------------------------------------
 
 
@@ -234,8 +363,9 @@ class KeepRaisingPrice(PatternPlugin):
     def match(self, trades, borrower, params):
         min_buys = params["min_buys"]
         matches: "list[PatternMatch]" = []
-        tokens = {t.token_buy for t in trades if t.buyer == borrower}
-        for token in tokens:
+        # a dict, not a set: tokens in first-seen trade order. A set's
+        # order follows PYTHONHASHSEED, and the order of matches with it.
+        for token in {t.token_buy: None for t in trades if t.buyer == borrower}:
             buys = [t for t in trades if t.buyer == borrower and t.token_buy == token]
             sells = [t for t in trades if t.buyer == borrower and t.token_sell == token]
             if not sells:
@@ -293,10 +423,11 @@ class SymmetricBuySell(PatternPlugin):
 
     def match(self, trades, borrower, params):
         matches: "list[PatternMatch]" = []
-        tokens = {t.token_buy for t in trades if t.buyer == borrower}
-        for token in tokens:
-            own_buys = [t for t in trades if t.buyer == borrower and t.token_buy == token]
+        for token in {t.token_buy: None for t in trades if t.buyer == borrower}:
             own_sells = [t for t in trades if t.buyer == borrower and t.token_sell == token]
+            if not own_sells:
+                continue  # no round trip
+            own_buys = [t for t in trades if t.buyer == borrower and t.token_buy == token]
             any_buys = [t for t in trades if t.token_buy == token]
             found = self._find_triple(
                 token, own_buys, own_sells, any_buys,
@@ -307,37 +438,67 @@ class SymmetricBuySell(PatternPlugin):
         return matches
 
     def _find_triple(self, token, own_buys, own_sells, any_buys, *, tol, min_volatility):
+        """The first (t1, t3, t2) in loop order: own buy t1, then own sell
+        t3 of the same amount in the same quote, then the first buy t2
+        between them in that quote that passes ``p1 < p3 < p2`` and the
+        volatility bound. Both t2 tests only get easier as ``p2`` grows,
+        so t2 is found through the maximum rate between t1 and t3, and a
+        t1 with no buy after it that passes the volatility bound is
+        skipped when no rate can overflow."""
+        sells = _group_by(own_sells, attrgetter("token_buy"))
+        groups = exact = None
         for t1 in own_buys:
-            for t3 in own_sells:
-                if t3.seq <= t1.seq:
+            same_quote = sells.get(t1.token_sell)
+            if same_quote is None:
+                continue  # different quote currency; rates not comparable
+            seqs, quote_sells = same_quote
+            bought = t1.amount_buy
+            p1 = window = None  # made at the first pair that needs them
+            for t3 in quote_sells[bisect_right(seqs, t1.seq):]:
+                sold = t3.amount_sell
+                big = bought if bought >= sold else sold
+                if big == 0 or abs(bought - sold) / big > tol:
                     continue
-                if t1.token_sell != t3.token_buy:
-                    continue  # different quote currency; rates not comparable
-                big = max(t1.amount_buy, t3.amount_sell)
-                if big == 0 or abs(t1.amount_buy - t3.amount_sell) / big > tol:
+                if window is None:
+                    if groups is None:
+                        groups = _rate_groups(any_buys, attrgetter("token_sell"))
+                        exact = _all_fit(groups) and _fits(own_sells, attrgetter("buy_rate"))
+                    window = _Window(groups.get(t1.token_sell), t1.seq)
+                    if exact:
+                        # with every rate a float nothing raises, so t1 is
+                        # done once no buy after it passes the volatility bound
+                        p1 = t1.sell_rate
+                        if not (p1 > 0 and window.may_pass(
+                            lambda p2: not (p2 - p1) / p1 < min_volatility
+                        )):
+                            break
+                hi = window.end(t3.seq)
+                if hi is None:
+                    continue  # no t2 candidate, so no rate is computed
+                if p1 is None:
+                    p1 = t1.sell_rate
+                p3 = t3.amount_buy / t3.amount_sell if t3.amount_sell else float("inf")
+                passes = None  # no p2 passes, though each is still computed
+                if p1 < p3 and p1 > 0:
+
+                    def passes(p2):
+                        return p3 < p2 and not (p2 - p1) / p1 < min_volatility
+
+                found = window.first(hi, passes)
+                if found is None:
                     continue
-                for t2 in any_buys:
-                    if not (t1.seq < t2.seq < t3.seq) or t2 is t1:
-                        continue
-                    if t2.token_sell != t1.token_sell:
-                        continue
-                    p1, p2 = t1.sell_rate, t2.sell_rate
-                    p3 = t3.amount_buy / t3.amount_sell if t3.amount_sell else float("inf")
-                    if not (p1 < p3 < p2):
-                        continue
-                    if p1 <= 0 or (p2 - p1) / p1 < min_volatility:
-                        continue
-                    return _match(
-                        self.key,
-                        token,
-                        (t1, t2, t3),
-                        (
-                            ("buy_rate", p1),
-                            ("raise_rate", p2),
-                            ("sell_rate", p3),
-                            ("volatility", (p2 - p1) / p1),
-                        ),
-                    )
+                t2, p2 = found
+                return _match(
+                    self.key,
+                    token,
+                    (t1, t2, t3),
+                    (
+                        ("buy_rate", p1),
+                        ("raise_rate", p2),
+                        ("sell_rate", p3),
+                        ("volatility", (p2 - p1) / p1),
+                    ),
+                )
         return None
 
 
@@ -353,7 +514,7 @@ class MultiRoundBuySell(PatternPlugin):
     def match(self, trades, borrower, params):
         matches: "list[PatternMatch]" = []
         pairs = {
-            (t.token_buy, t.seller)
+            (t.token_buy, t.seller): None
             for t in trades
             if t.buyer == borrower and t.seller is not None
         }
@@ -422,10 +583,11 @@ class SandwichFrontrun(PatternPlugin):
     def match(self, trades, borrower, params):
         tol = params["amount_tolerance"]
         matches: "list[PatternMatch]" = []
-        tokens = {t.token_buy for t in trades if t.buyer == borrower}
-        for token in tokens:
-            own_buys = [t for t in trades if t.buyer == borrower and t.token_buy == token]
+        for token in {t.token_buy: None for t in trades if t.buyer == borrower}:
             own_sells = [t for t in trades if t.buyer == borrower and t.token_sell == token]
+            if not own_sells:
+                continue  # no round trip
+            own_buys = [t for t in trades if t.buyer == borrower and t.token_buy == token]
             victim_buys = [
                 t for t in trades if t.token_buy == token and t.buyer != borrower
             ]
@@ -435,36 +597,62 @@ class SandwichFrontrun(PatternPlugin):
         return matches
 
     def _find_sandwich(self, token, own_buys, own_sells, victim_buys, tol):
+        """The first (t1, t3, t2) in loop order; t2 is the first victim
+        buy between them on the frontrun's venue and quote that paid at
+        least the frontrun's rate, found through the maximum victim rate
+        between t1 and t3. A t1 that no later victim paid as much as is
+        skipped when no rate can overflow."""
+        sells = _group_by(own_sells, attrgetter("seller", "token_buy"))
+        groups = exact = None
         for t1 in own_buys:
-            for t3 in own_sells:
-                if t3.seq <= t1.seq:
+            same_venue = sells.get((t1.seller, t1.token_sell))
+            if same_venue is None:
+                # frontrun and backrun hit the same venue, in one quote
+                continue
+            seqs, venue_sells = same_venue
+            bought = t1.amount_buy
+            front_rate = window = None  # made at the first pair that needs them
+            for t3 in venue_sells[bisect_right(seqs, t1.seq):]:
+                sold = t3.amount_sell
+                big = bought if bought >= sold else sold
+                if big == 0 or abs(bought - sold) / big > tol:
                     continue
-                if t1.token_sell != t3.token_buy:
-                    continue  # different quote; rates not comparable
-                if t1.seller != t3.seller:
-                    continue  # frontrun and backrun hit the same venue
-                big = max(t1.amount_buy, t3.amount_sell)
-                if big == 0 or abs(t1.amount_buy - t3.amount_sell) / big > tol:
-                    continue
-                if t3.buy_rate <= t1.sell_rate:
+                if window is None:
+                    if groups is None:
+                        groups = _rate_groups(victim_buys, attrgetter("seller", "token_sell"))
+                        exact = _all_fit(groups) and _fits(own_sells, attrgetter("buy_rate"))
+                    window = _Window(groups.get((t1.seller, t1.token_sell)), t1.seq)
+                    if exact:
+                        # with every victim and exit rate a float, the loop
+                        # could raise only at t1's rate, which it computes
+                        # at this pair too; so t1 is done once no victim
+                        # after it paid that rate
+                        front_rate = t1.sell_rate
+                        if not window.may_pass(lambda rate: not rate < front_rate):
+                            break
+                exit_rate = t3.buy_rate
+                if front_rate is None:
+                    front_rate = t1.sell_rate
+                if exit_rate <= front_rate:
                     continue  # exit not profitable; no sandwich payoff
-                for t2 in victim_buys:
-                    if not (t1.seq < t2.seq < t3.seq):
-                        continue
-                    if t2.seller != t1.seller or t2.token_sell != t1.token_sell:
-                        continue
-                    if t2.sell_rate < t1.sell_rate:
-                        continue  # victim paid less than the frontrun; no squeeze
-                    return _match(
-                        self.key,
-                        token,
-                        (t1, t2, t3),
-                        (
-                            ("front_rate", t1.sell_rate),
-                            ("victim_rate", t2.sell_rate),
-                            ("exit_rate", t3.buy_rate),
-                        ),
-                    )
+                hi = window.end(t3.seq)
+                if hi is None:
+                    continue
+                # a victim that paid less than the frontrun is no squeeze
+                found = window.first(hi, lambda rate: not rate < front_rate)
+                if found is None:
+                    continue
+                t2, victim_rate = found
+                return _match(
+                    self.key,
+                    token,
+                    (t1, t2, t3),
+                    (
+                        ("front_rate", front_rate),
+                        ("victim_rate", victim_rate),
+                        ("exit_rate", exit_rate),
+                    ),
+                )
         return None
 
 
@@ -488,8 +676,7 @@ class InfiniteMint(PatternPlugin):
         min_dumps = params["min_dumps"]
         max_buyback = params["max_buyback"]
         matches: "list[PatternMatch]" = []
-        tokens = {t.token_sell for t in trades if t.buyer == borrower}
-        for token in tokens:
+        for token in {t.token_sell: None for t in trades if t.buyer == borrower}:
             sells = [t for t in trades if t.buyer == borrower and t.token_sell == token]
             if len(sells) < min_dumps:
                 continue

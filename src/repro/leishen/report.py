@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..chain.trace import TransactionTrace
 from ..chain.types import Address
 from .identify import FlashLoan
 from .patterns import PatternMatch
@@ -52,6 +53,23 @@ def price_volatility(trades: Sequence[Trade]) -> float:
     return max(by_pair.values(), default=0.0)
 
 
+def _group_net_flows(
+    trace: TransactionTrace, borrowers: Sequence[Address]
+) -> dict[Address, int]:
+    """Net asset deltas of the borrower group; intra-group transfers
+    cancel, so multi-provider attacks report one coherent profit view."""
+    if len(borrowers) == 1:
+        return trace.net_flows(borrowers[0])
+    group = set(borrowers)
+    flows: dict[Address, int] = {}
+    for transfer in trace.transfers:
+        if transfer.receiver in group:
+            flows[transfer.token] = flows.get(transfer.token, 0) + transfer.amount
+        if transfer.sender in group:
+            flows[transfer.token] = flows.get(transfer.token, 0) - transfer.amount
+    return {token: delta for token, delta in flows.items() if delta != 0}
+
+
 @dataclass(slots=True)
 class AttackReport:
     """LeiShen's output for one flash loan transaction."""
@@ -68,10 +86,28 @@ class AttackReport:
     borrowers: tuple[Address, ...] = ()
     #: resolved tag per entry of ``borrowers`` (``None`` = untaggable).
     borrower_tags: tuple[Tag, ...] = ()
-    #: net asset deltas of the borrower group across the tx, token -> amount.
-    profit_flows: dict[Address, int] = field(default_factory=dict)
     #: profit valued in USD (filled by the profit analyzer when available).
     profit_usd: float | None = None
+    #: the analysed transaction, which :attr:`profit_flows` is built from.
+    trace: TransactionTrace | None = field(default=None, repr=False, compare=False)
+    _profit_flows: dict[Address, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def profit_flows(self) -> dict[Address, int]:
+        """Net asset deltas of the borrower group across the tx, token -> amount.
+
+        Built from :attr:`trace` the first time it is read, so a report
+        whose flows nobody reads never pays for them; empty without a
+        trace.
+        """
+        flows = self._profit_flows
+        if flows is None:
+            trace = self.trace
+            flows = {} if trace is None else _group_net_flows(trace, self.borrowers)
+            self._profit_flows = flows
+        return flows
 
     @property
     def is_attack(self) -> bool:

@@ -35,7 +35,7 @@ notions coincide.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..chain.types import Address
@@ -134,6 +134,9 @@ class WindowedMatcher:
         self.window_blocks = window_blocks
         self._matcher = PatternMatcher(pattern_config)
         self._blocks: deque[_WindowBlock] = deque()
+        #: borrower tag -> ``(block number, observation)`` of every
+        #: retained observation that carries the tag, in window order
+        self._by_tag: dict[Tag, deque[tuple[int, TradeObservation]]] = {}
         #: dedup: match identity -> last contributing block number.
         self._seen: dict[tuple, int] = {}
 
@@ -163,8 +166,18 @@ class WindowedMatcher:
         """
         fresh = list(observations)
         self._blocks.append(_WindowBlock(number, fresh))
+        by_tag = self._by_tag
+        for obs in fresh:
+            for tag in dict.fromkeys(obs.borrower_tags):
+                by_tag.setdefault(tag, deque()).append((number, obs))
         while len(self._blocks) > self.window_blocks:
-            self._blocks.popleft()
+            # the evicted block's entries lead each of its tags' queues
+            for obs in self._blocks.popleft().observations:
+                for tag in dict.fromkeys(obs.borrower_tags):
+                    entries = by_tag[tag]
+                    entries.popleft()
+                    if not entries:
+                        del by_tag[tag]
         oldest = self._blocks[0].number
         if self._seen:
             self._seen = {
@@ -191,14 +204,14 @@ class WindowedMatcher:
         trades: list[Trade] = []
         sources: list[TradeObservation] = []
         blocks: list[int] = []
-        for block in self._blocks:
-            for obs in block.observations:
-                if tag not in obs.borrower_tags:
-                    continue
-                for trade in obs.trades:
-                    trades.append(replace(trade, seq=len(trades)))
-                    sources.append(obs)
-                    blocks.append(block.number)
+        for number, obs in self._by_tag[tag]:
+            for t in obs.trades:
+                trades.append(Trade(
+                    len(trades), t.kind, t.buyer, t.seller, t.amount_sell,
+                    t.token_sell, t.amount_buy, t.token_buy, t.extra_legs,
+                ))
+                sources.append(obs)
+                blocks.append(number)
         return trades, sources, blocks
 
     def _match_tag(self, tag: Tag) -> list[WindowedDetection]:

@@ -1,5 +1,11 @@
 """Pattern registry: plugin set, settings normalization, the matcher seam."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.chain import Address
@@ -173,3 +179,51 @@ class TestMatcherSeam:
         settings = from_wire({**FLAT, "krp_min_buys": 4})
         matches = PatternMatcher(settings).match(series, BORROWER)
         assert {m.pattern for m in matches} == {"KRP"}
+
+
+#: six target tokens, bought in this order
+SIX_TOKENS = tuple(Address("0x" + byte * 20) for byte in ("aa", "bb", "cc", "dd", "ee", "ff"))
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def six_token_matches() -> list:
+    """Every plugin over a list where the borrower runs KRP on six
+    tokens in turn, as ``[pattern, target token]`` in match order."""
+    trades = []
+    for token in SIX_TOKENS:
+        for price in range(100, 106):
+            trades.append(Trade(
+                seq=len(trades), kind=TradeKind.SWAP, buyer=BORROWER, seller="Pool",
+                amount_sell=price * 10, token_sell=Q, amount_buy=10, token_buy=token,
+            ))
+        trades.append(Trade(
+            seq=len(trades), kind=TradeKind.SWAP, buyer=BORROWER, seller="Venue",
+            amount_sell=60, token_sell=token, amount_buy=7_000, token_buy=Q,
+        ))
+    matcher = PatternMatcher(PatternSettings(enabled=ALL_PATTERN_KEYS))
+    return [[m.pattern, str(m.target_token)] for m in matcher.match(trades, BORROWER)]
+
+
+class TestMatchOrder:
+    def test_match_order_ignores_the_hash_seed(self):
+        """Plugins walk tokens in first-seen trade order, not a set's, so
+        two interpreters with different hash seeds list the same matches
+        in the same order."""
+        path = os.pathsep.join([str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH", "")])
+        script = (
+            "import json\n"
+            "from tests.leishen.test_registry import six_token_matches\n"
+            "print(json.dumps(six_token_matches()))\n"
+        )
+        runs = []
+        for seed in ("0", "1"):
+            run = subprocess.run(
+                [sys.executable, "-c", script], cwd=ROOT,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            runs.append(json.loads(run.stdout))
+        assert runs[0] == runs[1]
+        krp = [token for pattern, token in runs[0] if pattern == "KRP"]
+        assert krp == [str(token) for token in SIX_TOKENS]

@@ -1,15 +1,21 @@
-"""Differential tests: three detector stages against their loop references.
+"""Differential tests: detector stages against their loop references.
 
 The merge fixpoint of ``TransferSimplifier``, ``FlashLoanIdentifier``
-and ``TradeIdentifier`` were rewritten for speed. The earlier loops are
-kept below unchanged as references, and generated inputs must give
-equal output from both:
+and ``TradeIdentifier`` were rewritten for speed, and so were the
+middle-trade searches of SBS and SANDWICH. The earlier loops are kept
+below unchanged as references, and generated inputs must give equal
+output from both:
 
 - transfer lists with relay chains of 2-5 hops, amounts at the merge
   tolerance border, ``None`` tags, BlackHole legs and ``A -> I -> A``
   loops;
 - traces with several swaps open at once, duplicate providers and
-  incomplete provider fingerprints.
+  incomplete provider fingerprints;
+- trade lists of up to 60 trades in two quote tokens and on two venues,
+  with tied seqs, amounts at the pattern's tolerance border, zero
+  amounts (infinite rates), wei-scale amounts, and amounts whose rate
+  overflows a float. The searches must return the same match, the very
+  same trades, or raise the same exception.
 
 The pass order of the merge decides which hops merge, and the
 tolerance test is a division: both are pinned by explicit examples.
@@ -17,6 +23,7 @@ tolerance test is a division: both are pinned by explicit examples.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 from hypothesis import given, settings
@@ -33,6 +40,7 @@ from repro.leishen import (
     TransferSimplifier,
 )
 from repro.leishen.identify import FlashLoan
+from repro.leishen.registry import SandwichFrontrun, SymmetricBuySell, _match
 from repro.leishen.trades import Trade, TradeKind
 
 TOLERANCE = SimplifierConfig().merge_tolerance
@@ -308,6 +316,81 @@ class ReferenceTradeIdentifier(TradeIdentifier):
         return None
 
 
+class ReferenceSymmetricBuySell(SymmetricBuySell):
+    """SBS with the cubic own buy x own sell x any buy loop."""
+
+    def _find_triple(self, token, own_buys, own_sells, any_buys, *, tol, min_volatility):
+        for t1 in own_buys:
+            for t3 in own_sells:
+                if t3.seq <= t1.seq:
+                    continue
+                if t1.token_sell != t3.token_buy:
+                    continue  # different quote currency; rates not comparable
+                big = max(t1.amount_buy, t3.amount_sell)
+                if big == 0 or abs(t1.amount_buy - t3.amount_sell) / big > tol:
+                    continue
+                for t2 in any_buys:
+                    if not (t1.seq < t2.seq < t3.seq) or t2 is t1:
+                        continue
+                    if t2.token_sell != t1.token_sell:
+                        continue
+                    p1, p2 = t1.sell_rate, t2.sell_rate
+                    p3 = t3.amount_buy / t3.amount_sell if t3.amount_sell else float("inf")
+                    if not (p1 < p3 < p2):
+                        continue
+                    if p1 <= 0 or (p2 - p1) / p1 < min_volatility:
+                        continue
+                    return _match(
+                        self.key,
+                        token,
+                        (t1, t2, t3),
+                        (
+                            ("buy_rate", p1),
+                            ("raise_rate", p2),
+                            ("sell_rate", p3),
+                            ("volatility", (p2 - p1) / p1),
+                        ),
+                    )
+        return None
+
+
+class ReferenceSandwich(SandwichFrontrun):
+    """SANDWICH with the cubic own buy x own sell x victim buy loop."""
+
+    def _find_sandwich(self, token, own_buys, own_sells, victim_buys, tol):
+        for t1 in own_buys:
+            for t3 in own_sells:
+                if t3.seq <= t1.seq:
+                    continue
+                if t1.token_sell != t3.token_buy:
+                    continue  # different quote; rates not comparable
+                if t1.seller != t3.seller:
+                    continue  # frontrun and backrun hit the same venue
+                big = max(t1.amount_buy, t3.amount_sell)
+                if big == 0 or abs(t1.amount_buy - t3.amount_sell) / big > tol:
+                    continue
+                if t3.buy_rate <= t1.sell_rate:
+                    continue  # exit not profitable; no sandwich payoff
+                for t2 in victim_buys:
+                    if not (t1.seq < t2.seq < t3.seq):
+                        continue
+                    if t2.seller != t1.seller or t2.token_sell != t1.token_sell:
+                        continue
+                    if t2.sell_rate < t1.sell_rate:
+                        continue  # victim paid less than the frontrun; no squeeze
+                    return _match(
+                        self.key,
+                        token,
+                        (t1, t2, t3),
+                        (
+                            ("front_rate", t1.sell_rate),
+                            ("victim_rate", t2.sell_rate),
+                            ("exit_rate", t3.buy_rate),
+                        ),
+                    )
+        return None
+
+
 # -- generators -------------------------------------------------------------------
 
 
@@ -454,6 +537,74 @@ trade_lists = st.lists(
 )
 
 
+BORROWER = "B"
+TARGET, QUOTES = TOKENS[1], TOKENS[2:]
+#: small amounts make tied and bordering rates likely; 0 makes them infinite
+SMALL_AMOUNTS = (0, 1, 2, 3, 5, 7, 9, 10, 13, 20, 100)
+wei_amount = st.integers(10**17, 10**25)
+#: a rate of this over a small amount does not fit a float
+OVERFLOW_AMOUNT = 10**400
+#: (buyer, venue, quote, the buyer buys the target), skewed so that the
+#: borrower, venue V1 and the first quote come up most
+TRADE_SHAPES = tuple(itertools.product(
+    (BORROWER, BORROWER, "C", "D"), ("V1", "V1", "V2"), (*QUOTES, QUOTES[0]),
+    (True, False),
+))
+MAX_SEQ = 30
+
+
+@st.composite
+def pattern_trades(draw, tolerance: float) -> list[Trade]:
+    """Up to 60 swaps of one target token against two quotes, sorted by
+    seq with ties, by the borrower and two other buyers on two venues.
+
+    Target amounts often sit at the ``tolerance`` border of one base, so
+    round trips pass the amount test. The other amounts are small, or
+    two wei-scale draws; in a quarter of the lists, one in six is an
+    amount whose rates overflow. Each trade is one integer draw, decoded into
+    seq, shape and amounts, which keeps a 60-trade list cheap to draw.
+    """
+    base = draw(st.one_of(st.integers(1, 100), wei_amount))
+    amounts = [*SMALL_AMOUNTS, *draw(st.lists(wei_amount, min_size=2, max_size=2))]
+    if draw(st.integers(0, 3)) == 3:
+        amounts += [OVERFLOW_AMOUNT] * 3
+    up, down = int(base * tolerance / (1 - tolerance)), -int(base * tolerance)
+    targets = [
+        max(0, base + step + jitter) for step in (0, up, down) for jitter in (-2, 0, 2)
+    ] + amounts
+    count = draw(st.integers(0, 60))
+    codes = draw(st.lists(
+        st.integers(0, (MAX_SEQ + 1) * len(TRADE_SHAPES) * len(targets) * len(amounts) - 1),
+        min_size=count,
+        max_size=count,
+    ))
+    trades = []
+    for code in codes:
+        code, seq = divmod(code, MAX_SEQ + 1)
+        code, shape = divmod(code, len(TRADE_SHAPES))
+        target_index, amount_index = divmod(code, len(amounts))
+        buyer, seller, quote, buys_target = TRADE_SHAPES[shape]
+        target_amount, quote_amount = targets[target_index], amounts[amount_index]
+        if buys_target:
+            legs = (quote_amount, quote, target_amount, TARGET)
+        else:
+            legs = (target_amount, TARGET, quote_amount, quote)
+        trades.append(Trade(seq, TradeKind.SWAP, buyer, seller, *legs))
+    # sorted by seq, as the matcher hands trades to every plugin
+    trades.sort(key=lambda trade: trade.seq)
+    return trades
+
+
+def _outcome(plugin, trades):
+    """A plugin's matches with the identity of each matched trade, or the
+    exception it raised."""
+    try:
+        matches = plugin.match(trades, BORROWER, plugin.defaults)
+    except OverflowError as exc:
+        return ("raised", str(exc))
+    return matches, [[id(trade) for trade in match.trades] for match in matches]
+
+
 # -- the differential tests ----------------------------------------------------------
 
 #: wei-scale amounts one relative tolerance apart: ``d / big <= 0.001``
@@ -519,3 +670,151 @@ class TestTradeIdentifier:
         assert TradeIdentifier().identify(transfers) == (
             ReferenceTradeIdentifier().identify(transfers)
         )
+
+
+class TestMiddleTradeSearch:
+    @given(pattern_trades(SymmetricBuySell.defaults["amount_tolerance"]))
+    @settings(max_examples=300, deadline=None)
+    def test_sbs_matches_reference(self, trades):
+        assert _outcome(SymmetricBuySell(), trades) == (
+            _outcome(ReferenceSymmetricBuySell(), trades)
+        )
+
+    @given(pattern_trades(SandwichFrontrun.defaults["amount_tolerance"]))
+    @settings(max_examples=300, deadline=None)
+    def test_sandwich_matches_reference(self, trades):
+        assert _outcome(SandwichFrontrun(), trades) == (
+            _outcome(ReferenceSandwich(), trades)
+        )
+
+    @staticmethod
+    def _swap(seq, buyer, amount_sell, token_sell, amount_buy, token_buy, seller="V1"):
+        return Trade(seq, TradeKind.SWAP, buyer, seller, amount_sell, token_sell,
+                     amount_buy, token_buy)
+
+    def test_first_middle_trade_wins(self):
+        # two t2 candidates pass; the earlier one, not the dearer, is t2
+        q = QUOTES[0]
+        trades = [
+            self._swap(0, BORROWER, 10, q, 10, TARGET),
+            self._swap(1, "C", 20, q, 10, TARGET),
+            self._swap(2, "C", 40, q, 10, TARGET),
+            self._swap(3, BORROWER, 10, TARGET, 15, q),
+        ]
+        for plugin, reference in (
+            (SymmetricBuySell(), ReferenceSymmetricBuySell()),
+            (SandwichFrontrun(), ReferenceSandwich()),
+        ):
+            (match,) = plugin.match(trades, BORROWER, plugin.defaults)
+            assert match.trades[1] is trades[1]
+            assert _outcome(plugin, trades) == _outcome(reference, trades)
+
+    def test_tied_seqs_are_outside_the_interval(self):
+        # t2 must lie strictly between t1 and t3: buys tied with either
+        # end are no candidates, however dear
+        q = QUOTES[0]
+        trades = [
+            self._swap(0, BORROWER, 10, q, 10, TARGET),
+            self._swap(0, "C", 40, q, 10, TARGET),
+            self._swap(3, "C", 40, q, 10, TARGET),
+            self._swap(3, BORROWER, 10, TARGET, 15, q),
+        ]
+        for plugin, reference in (
+            (SymmetricBuySell(), ReferenceSymmetricBuySell()),
+            (SandwichFrontrun(), ReferenceSandwich()),
+        ):
+            assert plugin.match(trades, BORROWER, plugin.defaults) == []
+            assert _outcome(plugin, trades) == _outcome(reference, trades)
+
+    def test_volatility_bound_is_inclusive(self):
+        # p1 = 25, p3 = 30, p2 = 32: (32 - 25) / 25 is 0.28 to the bit
+        q = QUOTES[0]
+        trades = [
+            self._swap(0, BORROWER, 25, q, 1, TARGET),
+            self._swap(1, "C", 32, q, 1, TARGET),
+            self._swap(2, BORROWER, 1, TARGET, 30, q),
+        ]
+        plugin = SymmetricBuySell()
+        (match,) = plugin.match(trades, BORROWER, plugin.defaults)
+        assert match.detail("volatility") == plugin.defaults["min_volatility"]
+        assert _outcome(plugin, trades) == _outcome(ReferenceSymmetricBuySell(), trades)
+
+    def test_exit_rate_overflows_only_after_t1(self):
+        # a round trip whose exit rate overflows: the loop computes it for
+        # a sell after t1, even with no t2 that could pass, and never for
+        # a sell tied with t1
+        q = QUOTES[0]
+        for exit_seq, raises in ((1, True), (0, False)):
+            trades = [
+                self._swap(0, BORROWER, 10, q, 10, TARGET),
+                self._swap(exit_seq, BORROWER, 10, TARGET, OVERFLOW_AMOUNT, q),
+            ]
+            if exit_seq:
+                trades.insert(1, self._swap(1, "C", 5, q, 10, TARGET))
+                trades[-1].seq = 2
+            for plugin, reference in (
+                (SymmetricBuySell(), ReferenceSymmetricBuySell()),
+                (SandwichFrontrun(), ReferenceSandwich()),
+            ):
+                outcome = _outcome(plugin, sorted(trades, key=lambda trade: trade.seq))
+                assert (outcome[0] == "raised") is raises, plugin.key
+                assert outcome == _outcome(reference, trades)
+
+    def test_entry_rate_is_computed_only_for_a_round_trip(self):
+        # t1's rate overflows, but no sell after it returns its amount
+        q = QUOTES[0]
+        trades = [
+            self._swap(0, BORROWER, OVERFLOW_AMOUNT, q, 10, TARGET),
+            self._swap(1, BORROWER, 20, TARGET, 30, q),
+        ]
+        for plugin, reference in (
+            (SymmetricBuySell(), ReferenceSymmetricBuySell()),
+            (SandwichFrontrun(), ReferenceSandwich()),
+        ):
+            assert plugin.match(trades, BORROWER, plugin.defaults) == []
+            assert _outcome(plugin, trades) == _outcome(reference, trades)
+
+    def test_overflowing_only_candidate_raises(self):
+        # no t2 could pass, but the loop still computes the one candidate's
+        # rate, which overflows: the search may not skip t1
+        q = QUOTES[0]
+        trades = [
+            self._swap(0, BORROWER, 10, q, 10, TARGET),
+            self._swap(1, "C", OVERFLOW_AMOUNT, q, 1, TARGET),
+            self._swap(2, BORROWER, 10, TARGET, 15, q),
+        ]
+        for plugin, reference in (
+            (SymmetricBuySell(), ReferenceSymmetricBuySell()),
+            (SandwichFrontrun(), ReferenceSandwich()),
+        ):
+            outcome = _outcome(plugin, trades)
+            assert outcome[0] == "raised", plugin.key
+            assert outcome == _outcome(reference, trades)
+
+    def test_overflow_before_the_match_raises(self):
+        # the loop computes the overflowing rate of seq 1 before it
+        # reaches the passing t2 at seq 2
+        q = QUOTES[0]
+        trades = [
+            self._swap(0, BORROWER, 10, q, 10, TARGET),
+            self._swap(1, "C", OVERFLOW_AMOUNT, q, 1, TARGET),
+            self._swap(2, "C", 40, q, 10, TARGET),
+            self._swap(3, BORROWER, 10, TARGET, 15, q),
+        ]
+        for plugin, reference in (
+            (SymmetricBuySell(), ReferenceSymmetricBuySell()),
+            (SandwichFrontrun(), ReferenceSandwich()),
+        ):
+            outcome = _outcome(plugin, trades)
+            assert outcome[0] == "raised"
+            assert outcome == _outcome(reference, trades)
+        # after the match, the overflow is never computed
+        trades[1], trades[2] = trades[2], trades[1]
+        trades[1].seq, trades[2].seq = 1, 2
+        for plugin, reference in (
+            (SymmetricBuySell(), ReferenceSymmetricBuySell()),
+            (SandwichFrontrun(), ReferenceSandwich()),
+        ):
+            (match,) = plugin.match(trades, BORROWER, plugin.defaults)
+            assert match.trades[1] is trades[1]
+            assert _outcome(plugin, trades) == _outcome(reference, trades)
