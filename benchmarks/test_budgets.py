@@ -188,41 +188,6 @@ def test_failover_recovers_within_60s(tmp_path):
     )
 
 
-def test_compacted_ledger_opens_faster(tmp_path):
-    """Open cost tracks the journaled record count: at 32 shards one
-    snapshot record must open faster than 32 shard records."""
-    config = WildScanConfig(scale=0.01, seed=SEED, shards=32)
-    tasks = build_schedule(config.scale, config.seed)
-    count = resolve_shard_count(config.shards, len(tasks))
-    assert count == 32
-    parts = shard_schedule(tasks, count)
-    path = tmp_path / "full.ledger"
-    ledger = RunLedger.create(path, config, count)
-    for index in range(count):
-        ledger.record(run_shard((config, index, count, parts[index])))
-    ledger.close()
-
-    def best_open() -> float:
-        best = None
-        for _ in range(5):
-            opened, elapsed = timed(
-                RunLedger.open, path, config=config, shard_count=count
-            )
-            opened.close()
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-
-    uncompacted_s = best_open()
-    opened = RunLedger.open(path, config=config, shard_count=count)
-    assert opened.compact()
-    opened.close()
-    compacted_s = best_open()
-    assert compacted_s < uncompacted_s, (
-        f"compacted open {compacted_s * 1e3:.3f}ms did not beat "
-        f"uncompacted {uncompacted_s * 1e3:.3f}ms at {count} shards"
-    )
-
-
 @strict
 @pytest.mark.skipif(
     effective_cpus() < 2, reason="parallel budget needs more than 1 effective CPU"

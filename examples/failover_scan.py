@@ -14,11 +14,6 @@ the remainder on its own socket; the workers' reconnect loops rotate to
 the standby address on their own. The merged result is byte-identical
 to an uninterrupted in-process run — the journal makes that a
 structural property, not a recovery heuristic.
-
-Along the way the ledger also compacts: with ``compact_every=2`` the
-journal folds its merged prefix into a single snapshot record every two
-shards, so replay cost at adoption stays flat no matter how far the
-scan got.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="repro-failover-") as tmp:
         path = Path(tmp) / "run.ledger"
-        ledger = RunLedger.create(path, config, SHARDS, compact_every=2)
+        ledger = RunLedger.create(path, config, SHARDS)
 
         # primary + hot standby share the journal path; the standby
         # binds its socket up front but opens the ledger only on adoption.
@@ -61,7 +56,7 @@ def main() -> None:
         print(
             f"primary {primary.address[0]}:{primary.address[1]}, "
             f"standby {standby.address[0]}:{standby.address[1]} "
-            f"(journal: {path.name}, compact_every=2)"
+            f"(journal: {path.name})"
         )
 
         # two workers, each carrying BOTH addresses in its connect list.
@@ -107,13 +102,6 @@ def main() -> None:
             f"journal, {stats.assignments} reassigned, "
             f"{stats.duplicates_suppressed} late duplicate(s) suppressed"
         )
-
-        replay = RunLedger.open(path, config=config, shard_count=SHARDS)
-        print(
-            f"journal after the scan: generation {replay.generation}, "
-            f"{replay.snapshot_shards} shard(s) folded into the snapshot"
-        )
-        replay.close()
 
         cold = ScanEngine(config).run()
         identical = (

@@ -12,7 +12,7 @@ and merges the shard results they stream back::
     │ ready ──────────────────┼──────▶ pop shard ──▶ assign(descriptor)│
     │ build_shard_context     │      │   pending ◀── requeue on loss, │
     │ execute/detect/finalize │      │   deque       timeout or error │
-    │ result(shard, payload) ─┼──────▶ completed[shard] (first wins)  │
+    │ result(shard, payload) ─┼──────▶ decode, completed (first wins) │
     │ heartbeat (always) ─────┼──────▶ last_seen[worker]              │
     └─────────────────────────┘      │ merge by shard index ──▶ result │
                                      └────────────────────────────────┘
@@ -45,7 +45,15 @@ and detect a silently-dead coordinator host; the monitor loop waits on
 the shared condition (never a bare ``sleep``), so ``shutdown()`` wakes
 it immediately even with very large heartbeat timeouts.
 
-Because ``completed`` maps shard index → exactly one result and the merge
+A ``hello``, ``result`` or ``shard-error`` frame is decoded when it
+arrives (:mod:`repro.cluster.protocol`): a ``result`` payload must
+decode as a shard result for its frame's shard, with rows only for the
+patterns this run enables. A frame that does not decode is a
+:class:`~repro.cluster.protocol.ProtocolError`, handled like a lost
+worker — requeue plus strike — so nothing undecoded is stored or
+journaled.
+
+Because each shard completes exactly once and the merge
 (:func:`repro.engine.scan.merge_shard_results`) orders by shard index,
 the merged ``WildScanResult`` is byte-identical to ``ScanEngine.run()``
 for the same ``(seed, scale, shards)`` no matter how many workers served
@@ -61,13 +69,16 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..engine.plan import shard_schedule
-from ..engine.scan import finish_shards, open_shards, run_shard
-from ..engine.wire import config_to_wire, shard_result_from_wire, shard_result_to_wire
+from ..engine.scan import ShardResult, finish_shards, open_shards, run_shard
+from ..engine.wire import config_to_wire, shard_result_from_wire
 from .protocol import (
+    HELLO,
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
+    check_frame,
     recv_message,
+    result_frames,
     send_message,
 )
 
@@ -223,16 +234,22 @@ class Coordinator:
         self.stats = ClusterStats()
 
         # ``self.ledger`` is the run ledger (``None`` for unjournaled
-        # runs): every completed shard payload is journaled, and shards
-        # already in the journal are never queued — a SIGKILLed
+        # runs): every completed shard is journaled, and shards already
+        # in the journal (possibly another coordinator's — the
+        # hot-standby adoption path) are never queued — a SIGKILLed
         # coordinator resumes by pointing a new one at the same path.
         tasks, self.shard_count, self.ledger, done = open_shards(config, ledger)
         #: the partition, kept for the in-process fallback.
         self._parts = shard_schedule(tasks, self.shard_count)
+        self._frames = result_frames(self.shard_count)
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._completed: dict[int, dict] = {}
+        #: shards done, journaled ones included; each completes once.
+        self._completed: set[int] = set(done)
+        #: the checked results this process completed; a journaled run
+        #: merges from its ledger instead.
+        self._outcomes: list[ShardResult] = []
         #: per-shard profile payloads reported by workers/fallback when
         #: ``config.profile``; merged into :attr:`profile` after ``run``.
         #: Kept out of ``_completed`` (and therefore the ledger journal):
@@ -242,17 +259,7 @@ class Coordinator:
         #: (``None`` otherwise; ledger-resumed shards carry no profile,
         #: which ``counters["shards_profiled"]`` makes visible).
         self.profile = None
-        if self.ledger is not None:
-            # Seed completion from the journal (possibly another
-            # coordinator's — the hot-standby adoption path). Shards
-            # folded into a compacted snapshot prefix have no individual
-            # payload; a journaled run always merges from its ledger
-            # (``finish_shards``), so ``None`` placeholders are only ever
-            # used for membership.
-            payloads = self.ledger.completed_payloads
-            for shard in done:
-                self._completed[shard] = payloads.get(shard)
-            self.stats.resumed_shards = len(self._completed)
+        self.stats.resumed_shards = len(done)
         self._pending: deque[int] = deque(
             index for index in range(self.shard_count) if index not in self._completed
         )
@@ -352,10 +359,7 @@ class Coordinator:
                         self._run_fallback_locked(f"timeout after {timeout}s")
                         continue
                     self._cond.wait(0.1)
-                outcomes = [] if self.ledger is not None else [
-                    shard_result_from_wire(self._completed[index])
-                    for index in range(self.shard_count)
-                ]
+                outcomes = list(self._outcomes)
         finally:
             self.shutdown()
         if getattr(self.config, "profile", False):
@@ -402,10 +406,8 @@ class Coordinator:
                     if index in self._completed:
                         self.stats.duplicates_suppressed += 1
                     else:
-                        payload = shard_result_to_wire(outcome)
-                        self._completed[index] = payload
+                        self._complete_locked(outcome)
                         self.stats.local_fallback_shards += 1
-                        self._journal_locked(index, payload)
                         if outcome.profile is not None:
                             self._profiles[index] = outcome.profile
                     self._cond.notify_all()
@@ -557,14 +559,7 @@ class Coordinator:
     def _serve(self, conn: socket.socket) -> None:
         worker: _WorkerState | None = None
         try:
-            hello = recv_message(conn)
-            if hello.get("type") != "hello" or "worker" not in hello:
-                raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
-            if hello.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"protocol mismatch: coordinator speaks {PROTOCOL_VERSION}, "
-                    f"worker speaks {hello.get('protocol')!r}"
-                )
+            hello = check_frame(recv_message(conn), HELLO)
             with self._cond:
                 worker = self._workers.get(hello["worker"])
                 if worker is None:
@@ -599,9 +594,10 @@ class Coordinator:
                     if not self._handle_ready(conn, worker):
                         break
                 elif kind == "result":
-                    self._handle_result(worker, message)
+                    self._handle_result(worker, *self._decode_result(message))
                 elif kind == "shard-error":
-                    self._handle_shard_error(worker, message)
+                    frame = check_frame(message, self._frames["shard-error"])
+                    self._handle_shard_error(worker, frame["shard"])
                 elif kind == "bye":
                     break
                 else:
@@ -680,8 +676,24 @@ class Coordinator:
             send_message(conn, assignment)
             return True
 
-    def _handle_result(self, worker: _WorkerState, message: dict) -> None:
-        shard = message["shard"]
+    def _decode_result(self, message: dict) -> tuple[int, ShardResult, dict | None]:
+        """``(shard, result, profile)`` of a ``result`` frame, checked
+        against this run's shard count and enabled patterns; raises
+        :class:`ProtocolError` when it does not decode."""
+        frame = check_frame(message, self._frames["result"])
+        shard = frame["shard"]
+        try:
+            result = shard_result_from_wire(
+                frame["payload"], shard=shard,
+                enabled=self.config.pattern_config.enabled,
+            )
+        except ValueError as exc:
+            raise ProtocolError(f"result frame for shard {shard}: {exc}") from None
+        return shard, result, frame.get("profile")
+
+    def _handle_result(
+        self, worker: _WorkerState, shard: int, result: ShardResult, profile
+    ) -> None:
         with self._cond:
             worker.shards.discard(shard)
             if worker.probation:
@@ -692,17 +704,13 @@ class Coordinator:
             if shard in self._completed:
                 self.stats.duplicates_suppressed += 1
             else:
-                payload = message["payload"]
-                self._completed[shard] = payload
+                self._complete_locked(result)
                 worker.completed += 1
-                self._journal_locked(shard, payload)
-                profile = message.get("profile")
-                if isinstance(profile, dict):
+                if profile is not None:
                     self._profiles[shard] = profile
             self._cond.notify_all()
 
-    def _handle_shard_error(self, worker: _WorkerState, message: dict) -> None:
-        shard = message["shard"]
+    def _handle_shard_error(self, worker: _WorkerState, shard: int) -> None:
         with self._cond:
             worker.shards.discard(shard)
             self.stats.shard_errors += 1
@@ -728,15 +736,16 @@ class Coordinator:
             self._strike_locked(worker)
             self._cond.notify_all()
 
-    def _journal_locked(self, shard: int, payload: dict) -> None:
-        """Append a freshly completed shard payload to the run ledger.
+    def _complete_locked(self, result: ShardResult) -> None:
+        """Mark a shard done and journal its checked result.
 
-        Called with the lock held, right after the shard enters
-        ``_completed`` — the journal and the in-memory view can never
-        disagree about which shards are done.
+        Called with the lock held, so the journal and the in-memory view
+        can never disagree about which shards are done.
         """
+        self._completed.add(result.shard_index)
+        self._outcomes.append(result)
         if self.ledger is not None:
-            self.ledger.record_payload(shard, payload)
+            self.ledger.record(result)
 
     def _requeue_locked(self, shard: int, heartbeat: bool = False) -> None:
         if shard in self._completed or shard in self._pending:

@@ -2,14 +2,16 @@
 
 A worker owns no scheduling state. It connects to a coordinator, learns
 the scan config from the ``welcome`` message, and then loops
-``ready`` → ``assign`` → execute → ``result`` until drained. Given a
-descriptor ``(seed, scale, shard_index, shard_count)`` it rebuilds the
-canonical schedule locally with the engines' own
-:func:`~repro.engine.plan.build_full_schedule` (pure data, so shipping
-the descriptor is cheaper than shipping the task list) and runs its
-shard through the engines' own :func:`~repro.engine.scan.run_shard` —
-the same schedule and the same shard loop are what make a cluster run
-byte-identical to a local one.
+``ready`` → ``assign`` → execute → ``result`` until drained. The
+``welcome`` and every ``assign`` are decoded where they arrive
+(:mod:`repro.cluster.protocol`); an ``assign`` descriptor ``(seed,
+scale, shard_index, shard_count)`` must name the welcomed scan. On its
+first assignment the worker rebuilds the canonical schedule locally
+with the engines' own :func:`~repro.engine.plan.build_full_schedule`
+(pure data, so shipping the descriptor is cheaper than shipping the
+task list) and runs each shard through the engines' own
+:func:`~repro.engine.scan.run_shard` — the same schedule and the same
+shard loop are what make a cluster run byte-identical to a local one.
 
 A background thread heartbeats every ``heartbeat_interval`` (negotiated
 in the welcome) including mid-shard, so the coordinator can tell a slow
@@ -55,8 +57,11 @@ from ..engine.scan import run_shard
 from ..engine.wire import config_from_wire, shard_result_to_wire
 from .protocol import (
     PROTOCOL_VERSION,
+    WELCOME,
     ConnectionClosed,
     ProtocolError,
+    assign_frame,
+    check_frame,
     recv_message,
     send_message,
 )
@@ -172,11 +177,9 @@ class ClusterWorker:
 
     def _learn_addresses(self, pairs) -> None:
         """Merge ``failover`` addresses from a welcome into the list."""
-        for pair in pairs or []:
-            host, port = pair
-            normalized = (str(host), int(port))
-            if normalized not in self.addresses:
-                self.addresses.append(normalized)
+        for host, port in pairs:
+            if (host, port) not in self.addresses:
+                self.addresses.append((host, port))
 
     # ------------------------------------------------------------------
 
@@ -284,19 +287,16 @@ class ClusterWorker:
         try:
             self._send({"type": "hello", "worker": self.name,
                         "protocol": PROTOCOL_VERSION})
-            welcome = recv_message(sock)
-            if welcome.get("type") != "welcome":
-                raise ProtocolError(f"expected welcome, got {welcome.get('type')!r}")
-            if welcome.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"protocol mismatch: worker speaks {PROTOCOL_VERSION}, "
-                    f"coordinator speaks {welcome.get('protocol')!r}"
-                )
+            welcome = check_frame(recv_message(sock), WELCOME)
+            try:
+                config = config_from_wire(welcome["config"])
+            except ValueError as exc:
+                raise ProtocolError(f"welcome frame: {exc}") from None
             summary.sessions += 1
-            self._learn_addresses(welcome.get("failover"))
-            config = config_from_wire(welcome["config"])
+            self._learn_addresses(welcome.get("failover", []))
             shard_count = welcome["shard_count"]
-            interval = float(welcome.get("heartbeat_interval", 1.0))
+            assign = assign_frame(config, shard_count)
+            interval = welcome.get("heartbeat_interval", 1.0)
             # liveness bound: the coordinator park-pings every interval
             # while we wait for work, so several silent intervals mean
             # its host is gone (no FIN ever came) — stop waiting.
@@ -309,7 +309,7 @@ class ClusterWorker:
             )
             heartbeat_thread.start()
 
-            parts_cache: dict[tuple, list[list]] = {}
+            parts = None  # the partition, built on the first assignment
             while True:
                 self._send({"type": "ready"})
                 while True:
@@ -325,8 +325,12 @@ class ClusterWorker:
                     break
                 if kind != "assign":
                     raise ProtocolError(f"unexpected message type {kind!r}")
+                assignment = check_frame(message, assign)
+                if parts is None:
+                    tasks, _ = build_full_schedule(config)
+                    parts = shard_schedule(tasks, shard_count)
                 self._execute_assignment(
-                    message, config, shard_count, parts_cache, summary
+                    assignment, config, shard_count, parts, summary
                 )
         finally:
             heartbeat_stop.set()
@@ -340,31 +344,17 @@ class ClusterWorker:
 
     def _execute_assignment(
         self,
-        message: dict,
+        assignment: dict,
         config,
         shard_count: int,
-        parts_cache: dict,
+        parts: list[list],
         summary: WorkerSummary,
     ) -> None:
-        shard = message["shard"]
-        descriptor = (
-            message.get("seed", config.seed),
-            message.get("scale", config.scale),
-            message.get("shard_count", shard_count),
-        )
-        seed, scale, shard_count = descriptor
-        if (seed, scale) != (config.seed, config.scale):
-            # descriptors are authoritative; re-derive the config so the
-            # shard's world is a pure function of what was assigned.
-            config = dataclasses.replace(config, seed=seed, scale=scale)
-        if message.get("profile") and not getattr(config, "profile", False):
+        shard = assignment["shard"]
+        if assignment.get("profile") and not config.profile:
             # the profile flag rides the assignment, not the config wire
             # (it is an execution knob, excluded from the config digest).
             config = dataclasses.replace(config, profile=True)
-        parts = parts_cache.get(descriptor)
-        if parts is None:
-            tasks, _ = build_full_schedule(config)
-            parts = parts_cache[descriptor] = shard_schedule(tasks, shard_count)
 
         def hooked(tasks):
             # runs the hook before each task and counts it once run_shard

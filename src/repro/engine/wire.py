@@ -13,34 +13,45 @@ Only plain JSON types ever cross the wire — no pickling — so a worker
 can never execute anything the coordinator sends except the scan the
 codecs describe, and vice versa.
 
-Decoding is *strict*: every payload carries an explicit schema version
-(``"v"``) and an exact field set. A version mismatch, a missing field or
-an unknown field raises ``ValueError`` immediately instead of silently
-producing a wrong merge — the failure mode that matters once payloads
+Decoding is *strict*, and it happens once, where a payload enters the
+program: each payload kind has one declarative field table (field →
+JSON type and range), and :func:`check_fields` applies it. A payload
+must be a JSON object whose key set is exact, and every value must have
+its declared type (a ``bool`` is never an int; an int is a number) and
+fall in its declared range. Anything else raises ``ValueError`` naming
+the payload and the field, instead of producing a wrong merge or a
+``TypeError`` later — the failure modes that matter once payloads
 outlive the process that wrote them (resumed ledgers, mixed-version
-fleets).
+fleets). The check never converts a value: an int ``scale`` stays an
+int, so a decoded config digests as the payload did. The run ledger,
+the scan service and the cluster coordinator check their own envelopes
+with the same helper and re-raise its ``ValueError`` as their own error.
 
-Optional fields (``_CONFIG_OPTIONAL`` / ``_TRUTH_OPTIONAL``) are
-*omitted at their default value* rather than encoded as nulls. That
-keeps every payload written before the field existed decodable, and —
-because :func:`config_digest` hashes the encoded dict — keeps the
-digests of default-valued configs byte-identical across versions. A
-non-default value (a non-paper pattern selection, an adversarial tail,
-a family-labelled truth) encodes the field and therefore changes the
-digest, which is exactly the identity contract: same digest ⇔ same
-scan bytes.
+Optional fields (``optional=True`` in a table) are *omitted at their
+default value* rather than encoded as nulls. That keeps every payload
+written before the field existed decodable, and — because
+:func:`config_digest` hashes the encoded dict — keeps the digests of
+default-valued configs byte-identical across versions. A non-default
+value (a non-paper pattern selection, an adversarial tail, a
+family-labelled truth) encodes the field and therefore changes the
+digest, which is exactly the identity contract: same digest ⇔ same scan
+bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from ..chain.types import Address
 from .scan import ShardResult
 
 __all__ = [
     "WIRE_VERSION",
+    "WIRE_VERSION_FIELD",
+    "Field",
+    "check_fields",
     "config_digest",
     "config_to_wire",
     "config_from_wire",
@@ -62,53 +73,182 @@ __all__ = [
 #: payloads written by older builds decode unchanged.
 WIRE_VERSION = 2
 
-_CONFIG_FIELDS = frozenset(
-    {"v", "scale", "seed", "with_heuristic", "keep_history", "pattern_config",
-     "shards", "split_attacks"}
-)
-#: fields omitted from the payload when at their default value.
-_CONFIG_OPTIONAL = frozenset({"adversarial"})
-#: the namespaced encoding of a ``PatternSettings`` — told apart from
-#: the flat form older builds wrote by the ``enabled`` key, which the
-#: flat form never carries.
-_SETTINGS_FIELDS = frozenset({"enabled", "params", "registry"})
-_TRUTH_FIELDS = frozenset(
-    {"is_attack", "profile", "net_profit", "source_disclosed",
-     "aggregator_initiated", "attacked_app", "attacker", "attack_contract",
-     "asset", "month", "patterns", "known", "split_group"}
-)
-_TRUTH_OPTIONAL = frozenset({"family"})
-_DETECTION_FIELDS = frozenset(
-    {"tx_hash", "patterns", "truth", "profit_usd", "borrowed_usd"}
-)
-_SHARD_RESULT_FIELDS = frozenset(
-    {"v", "shard_index", "total_transactions", "detections", "row_counts"}
-)
+#: each JSON type name: the Python classes ``json.loads`` produces for
+#: it, and how an error message names it. ``any`` leaves the value to
+#: the field's own decoder.
+_TYPES = {
+    "null": ((type(None),), "null"),
+    "bool": ((bool,), "a bool"),
+    "int": ((int,), "an int"),
+    "number": ((int, float), "a number"),
+    "string": ((str,), "a string"),
+    "list": ((list,), "a list"),
+    "object": ((dict,), "an object"),
+    "any": ((object,), "anything"),
+}
 
 
-def _check_payload(
-    payload, fields: frozenset, what: str, optional: frozenset = frozenset()
-) -> None:
-    """Exact-schema check: precisely ``fields`` plus any of ``optional``."""
+class Field:
+    """One field of a payload table: its JSON types and, optionally, the
+    range its value must fall in.
+
+    ``types`` names the accepted JSON types, e.g. ``"int or null"``; a
+    ``bool`` is accepted only where ``bool`` is named, and an int
+    wherever ``number`` is. ``check`` is the range predicate, run on a
+    well-typed non-null value; ``fails`` says what a value outside the
+    range is, for the error. An ``optional`` field may be absent (it is
+    omitted at its default).
+    """
+
+    __slots__ = ("expect", "check", "fails", "optional", "classes", "bools")
+
+    def __init__(self, types: str, check=None, fails: str = "", *, optional: bool = False):
+        names = types.split(" or ")
+        self.expect = " or ".join(_TYPES[name][1] for name in names)
+        self.check = check
+        self.fails = fails
+        self.optional = optional
+        self.classes = tuple(cls for name in names for cls in _TYPES[name][0])
+        self.bools = "bool" in names or "any" in names
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def check_fields(payload, table: dict, what: str) -> dict:
+    """Check ``payload`` against a field ``table``; return it unchanged.
+
+    Raises ``ValueError`` naming ``what`` unless ``payload`` is a JSON
+    object holding every required field of ``table`` and no field
+    outside it, each value of its declared type and in its range.
+    """
     if not isinstance(payload, dict):
         raise ValueError(
             f"{what}: expected a JSON object, got {type(payload).__name__}"
         )
-    unknown = sorted(set(payload) - fields - optional)
+    for key, field in table.items():
+        if key not in payload:
+            continue
+        value = payload[key]
+        if not isinstance(value, field.classes) or (
+            value.__class__ is bool and not field.bools
+        ):
+            raise ValueError(f"{what}: {key} must be {field.expect}, got {_brief(value)}")
+        if field.check is not None and value is not None and not field.check(value):
+            raise ValueError(f"{what}: {key}={_brief(value)} is {field.fails}")
+    unknown = sorted(str(key) for key in payload if key not in table)
     if unknown:
         raise ValueError(f"{what}: unknown field(s) {unknown}")
-    missing = sorted(fields - set(payload))
+    missing = [
+        key for key, field in table.items() if not field.optional and key not in payload
+    ]
     if missing:
         raise ValueError(f"{what}: missing field(s) {missing}")
+    return payload
 
 
-def _check_version(payload: dict, what: str) -> None:
-    version = payload.get("v") if isinstance(payload, dict) else None
-    if version != WIRE_VERSION:
-        raise ValueError(
-            f"{what}: wire schema version mismatch — payload says "
-            f"{version!r}, this build speaks v{WIRE_VERSION}"
-        )
+def _nonnegative(value) -> bool:
+    return value >= 0
+
+
+def _finite_positive(value) -> bool:
+    return value > 0 and (isinstance(value, int) or math.isfinite(value))
+
+
+def _is_address(value) -> bool:
+    try:
+        Address(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _all_strings(values) -> bool:
+    return all(isinstance(value, str) for value in values)
+
+
+def _is_row(counts) -> bool:
+    return (
+        isinstance(counts, list)
+        and len(counts) == 3
+        and all(type(count) is int and count >= 0 for count in counts)
+    )
+
+
+def _rows_ok(rows) -> bool:
+    from ..leishen.registry import default_registry
+
+    keys = default_registry().keys()
+    return all(name in keys and _is_row(counts) for name, counts in rows.items())
+
+
+WIRE_VERSION_FIELD = Field(
+    "int", lambda value: value == WIRE_VERSION,
+    f"not wire version {WIRE_VERSION} (the wire schema version this build speaks)",
+)
+_NONNEGATIVE_INT = Field("int", _nonnegative, "negative")
+_STRINGS = Field("list", _all_strings, "not a list of strings")
+_ADDRESS = Field("string or null", _is_address, "not a 40-hex-digit address")
+
+_CONFIG = {
+    "v": WIRE_VERSION_FIELD,
+    "scale": Field("number", _finite_positive, "not a finite number > 0"),
+    "seed": Field("int"),
+    "with_heuristic": Field("bool"),
+    "keep_history": Field("bool"),
+    "pattern_config": Field("any"),  # _pattern_config_from_wire checks it
+    "shards": Field("int or null", lambda value: value >= 1, "below 1"),
+    "split_attacks": _NONNEGATIVE_INT,
+    "adversarial": Field("int", _nonnegative, "negative", optional=True),
+}
+#: the namespaced encoding of a ``PatternSettings`` — told apart from
+#: the flat form older builds wrote by the ``enabled`` key, which the
+#: flat form never carries. ``PatternSettings`` checks the contents.
+_SETTINGS = {
+    "enabled": Field("list"), "params": Field("object"), "registry": Field("int"),
+}
+#: the flat form: field -> (pattern key, parameter name)
+_FLAT_SETTINGS = {
+    "krp_min_buys": ("KRP", "min_buys"),
+    "sbs_min_volatility": ("SBS", "min_volatility"),
+    "sbs_amount_tolerance": ("SBS", "amount_tolerance"),
+    "mbs_min_rounds": ("MBS", "min_rounds"),
+}
+_FLAT_SETTINGS_TABLE = {field: Field("number") for field in _FLAT_SETTINGS}
+_TRUTH = {
+    "is_attack": Field("bool"),
+    "profile": Field("string"),
+    "net_profit": Field("bool"),
+    "source_disclosed": Field("bool"),
+    "aggregator_initiated": Field("bool"),
+    "attacked_app": Field("string or null"),
+    "attacker": _ADDRESS,
+    "attack_contract": _ADDRESS,
+    "asset": Field("string or null"),
+    "month": Field("int or null"),
+    "patterns": _STRINGS,
+    "known": Field("bool"),
+    "split_group": Field("int or null"),
+    "family": Field("string", optional=True),
+}
+_DETECTION = {
+    "tx_hash": Field("string"),
+    "patterns": _STRINGS,
+    "truth": Field("object"),
+    "profit_usd": Field("number"),
+    "borrowed_usd": Field("number"),
+}
+_SHARD_RESULT = {
+    "v": WIRE_VERSION_FIELD,
+    "shard_index": _NONNEGATIVE_INT,
+    "total_transactions": _NONNEGATIVE_INT,
+    "detections": Field("list"),
+    "row_counts": Field(
+        "object", _rows_ok, "not a map of pattern key to three ints >= 0"
+    ),
+}
 
 
 def _pattern_config_to_wire(settings):
@@ -134,23 +274,17 @@ def _pattern_config_from_wire(payload):
     if payload is None:
         return PatternSettings()
     if isinstance(payload, dict) and "enabled" in payload:
-        _check_payload(payload, _SETTINGS_FIELDS, "pattern config")
+        check_fields(payload, _SETTINGS, "pattern config")
         version = payload["registry"]
-        if type(version) is not int or version != REGISTRY_VERSION:
+        if version != REGISTRY_VERSION:
             raise ValueError(
                 f"pattern config: registry version mismatch — payload says "
                 f"{version!r}, this build's registry is v{REGISTRY_VERSION}"
             )
         return PatternSettings(enabled=payload["enabled"], params=payload["params"])
-    flat = {
-        "krp_min_buys": ("KRP", "min_buys"),
-        "sbs_min_volatility": ("SBS", "min_volatility"),
-        "sbs_amount_tolerance": ("SBS", "amount_tolerance"),
-        "mbs_min_rounds": ("MBS", "min_rounds"),
-    }
-    _check_payload(payload, frozenset(flat), "pattern config")
+    check_fields(payload, _FLAT_SETTINGS_TABLE, "pattern config")
     params: dict[str, dict] = {}
-    for field, (key, name) in flat.items():
+    for field, (key, name) in _FLAT_SETTINGS.items():
         params.setdefault(key, {})[name] = payload[field]
     return PatternSettings(params=params)
 
@@ -182,8 +316,7 @@ def config_from_wire(payload: dict):
     """Decode :func:`config_to_wire` output back into a ``WildScanConfig``."""
     from ..workload.generator import WildScanConfig
 
-    _check_version(payload, "scan config")
-    _check_payload(payload, _CONFIG_FIELDS, "scan config", _CONFIG_OPTIONAL)
+    check_fields(payload, _CONFIG, "scan config")
     return WildScanConfig(
         scale=payload["scale"],
         seed=payload["seed"],
@@ -236,7 +369,7 @@ def _truth_to_wire(truth) -> dict:
 def _truth_from_wire(payload: dict):
     from ..workload.profiles import GroundTruth
 
-    _check_payload(payload, _TRUTH_FIELDS, "ground truth", _TRUTH_OPTIONAL)
+    check_fields(payload, _TRUTH, "ground truth")
 
     def address(value):
         return Address(value) if value is not None else None
@@ -272,7 +405,7 @@ def detection_to_wire(detection) -> dict:
 def detection_from_wire(payload: dict):
     from ..workload.generator import Detection
 
-    _check_payload(payload, _DETECTION_FIELDS, "detection")
+    check_fields(payload, _DETECTION, "detection")
     return Detection(
         tx_hash=payload["tx_hash"],
         patterns=tuple(payload["patterns"]),
@@ -294,14 +427,28 @@ def shard_result_to_wire(result: ShardResult) -> dict:
     }
 
 
-def shard_result_from_wire(payload: dict) -> ShardResult:
-    _check_version(payload, "shard result")
-    _check_payload(payload, _SHARD_RESULT_FIELDS, "shard result")
+def shard_result_from_wire(payload: dict, *, shard=None, enabled=None) -> ShardResult:
+    """Decode :func:`shard_result_to_wire` output into a ``ShardResult``.
+
+    ``shard`` and ``enabled``, when given, bind the result to one run
+    (what the run ledger and the coordinator check before a result may
+    reach the merge): its ``shard_index`` must equal ``shard``, and its
+    rows may name only the ``enabled`` pattern keys.
+    """
+    check_fields(payload, _SHARD_RESULT, "shard result")
+    if shard is not None and payload["shard_index"] != shard:
+        raise ValueError(
+            f"shard result: shard_index={payload['shard_index']} is not shard {shard}"
+        )
+    rows = payload["row_counts"]
+    if enabled is not None and not set(rows) <= set(enabled):
+        raise ValueError(
+            f"shard result: row_counts name pattern(s) "
+            f"{sorted(set(rows) - set(enabled))} this run does not enable"
+        )
     return ShardResult(
         shard_index=payload["shard_index"],
         total_transactions=payload["total_transactions"],
         detections=[detection_from_wire(d) for d in payload["detections"]],
-        row_counts={
-            name: list(counts) for name, counts in payload["row_counts"].items()
-        },
+        row_counts={name: list(counts) for name, counts in rows.items()},
     )

@@ -52,7 +52,6 @@ def run_local(
     min_workers: int = 0,
     max_workers: int | None = None,
     ledger=None,
-    compact_every: int | None = None,
     profile: bool = False,
 ):
     """Coordinator + ``workers`` local workers; returns
@@ -61,16 +60,13 @@ def run_local(
     ``ledger`` (a path or an open :class:`repro.runtime.RunLedger`)
     journals every completed shard; a killed coordinator resumes from
     the same path, scheduling only the shards the journal is missing.
-    ``compact_every`` folds the journal into a snapshot record every N
-    appended shards. ``profile=True`` asks every worker for its
+    ``profile=True`` asks every worker for its
     per-shard stage profile (protocol v4); the coordinator's merged
     payload is returned last.
     """
     from ..cluster import run_cluster_scan
-    from .scan import _maybe_compacting
 
     config = WildScanConfig(scale=scale, seed=seed, shards=shards, profile=profile)
-    ledger = _maybe_compacting(ledger, config, compact_every)
     options = {}
     if heartbeat_timeout is not None:
         options["heartbeat_timeout"] = heartbeat_timeout
@@ -137,7 +133,6 @@ def render_local(
     max_workers: int | None = None,
     verify: bool = True,
     ledger=None,
-    compact_every: int | None = None,
     profile: bool = False,
     profile_out=None,
 ) -> str:
@@ -147,7 +142,7 @@ def render_local(
         scale=scale, seed=seed, workers=workers, shards=shards,
         heartbeat_timeout=heartbeat_timeout,
         autoscale=autoscale, min_workers=min_workers, max_workers=max_workers,
-        ledger=ledger, compact_every=compact_every, profile=profile,
+        ledger=ledger, profile=profile,
     )
     lines = _summary_lines(
         result, stats, elapsed, f"{stats.workers_seen} local worker(s)"
@@ -180,16 +175,13 @@ def render_serve(
     port: int = 9733,
     heartbeat_timeout: float | None = None,
     ledger=None,
-    compact_every: int | None = None,
     profile: bool = False,
     profile_out=None,
 ) -> str:
     """Coordinator-only mode: wait for remote workers, then merge."""
     from ..cluster import Coordinator
-    from .scan import _maybe_compacting
 
     config = WildScanConfig(scale=scale, seed=seed, shards=shards, profile=profile)
-    ledger = _maybe_compacting(ledger, config, compact_every)
     options = {}
     if heartbeat_timeout is not None:
         options["heartbeat_timeout"] = heartbeat_timeout

@@ -32,7 +32,6 @@ def _run_one(
     queue_depth: int | None = None,
     block_size: int | None = None,
     ledger: str | None = None,
-    compact_every: int | None = None,
     profile: bool = False,
     profile_out: str | None = None,
     windowed: bool = False,
@@ -68,13 +67,13 @@ def _run_one(
     if name == "scan":
         return scan.render(
             scale=scale, jobs=jobs, shards=shards, ledger=ledger,
-            compact_every=compact_every, profile=profile, profile_out=profile_out,
+            profile=profile, profile_out=profile_out,
         )
     if name == "stream":
         return stream.render(
             scale=scale, jobs=jobs, shards=shards,
             queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-            compact_every=compact_every, profile=profile, profile_out=profile_out,
+            profile=profile, profile_out=profile_out,
             windowed=windowed, window_blocks=window_blocks,
             split_attacks=split_attacks,
         )
@@ -317,16 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         "(like --ledger, but the file must already exist)",
     )
     parser.add_argument(
-        "--compact-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="scan/stream/cluster with --ledger/--resume: fold the "
-        "journal into a single snapshot record every N appended shards "
-        "(crash-safe rotation; replay cost stays flat instead of "
-        "growing with the shard count)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="scan/stream/cluster: collect per-stage timers/counters and "
@@ -399,18 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--ledger/--resume only apply to scan, stream and cluster")
     if args.standby and ledger is None:
         parser.error("--standby requires --ledger/--resume (the shared journal)")
-    if args.compact_every is not None:
-        if args.compact_every < 1:
-            parser.error(
-                f"--compact-every must be >= 1, got {args.compact_every}"
-            )
-        if ledger is None:
-            parser.error("--compact-every requires --ledger/--resume")
-        if args.standby:
-            parser.error(
-                "--compact-every does not apply to --standby (give it to "
-                "the primary; the standby adopts the journal as-is)"
-            )
     if args.resume:
         import os
 
@@ -468,7 +445,6 @@ def main(argv: list[str] | None = None) -> int:
             output = cluster.render_serve(
                 scale=scale, shards=args.shards, host=args.host, port=args.port,
                 heartbeat_timeout=args.heartbeat_timeout, ledger=ledger,
-                compact_every=args.compact_every,
                 profile=args.profile,
                 profile_out=args.profile_out,
             )
@@ -479,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
                 autoscale=args.autoscale, min_workers=args.min_workers,
                 max_workers=args.max_workers,
                 verify=not args.no_verify,
-                ledger=ledger, compact_every=args.compact_every,
+                ledger=ledger,
                 profile=args.profile,
                 profile_out=args.profile_out,
             )
@@ -494,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         output = _run_one(
             name, scale, jobs=args.jobs, shards=args.shards,
             queue_depth=args.queue_depth, block_size=args.block_size,
-            ledger=ledger, compact_every=args.compact_every,
+            ledger=ledger,
             profile=args.profile,
             profile_out=args.profile_out,
             windowed=args.windowed, window_blocks=args.window_blocks,

@@ -20,26 +20,12 @@ from ..workload.generator import WildScanConfig
 __all__ = ["run", "render"]
 
 
-def _maybe_compacting(ledger, config, compact_every: int | None):
-    """Wrap a path-``ledger`` in a compacting :class:`RunLedger`."""
-    if compact_every is None:
-        return ledger
-    from ..runtime import RunLedger
-
-    if ledger is None:
-        raise ValueError("--compact-every requires --ledger/--resume")
-    if isinstance(ledger, RunLedger):
-        return ledger
-    return RunLedger.for_config(ledger, config, compact_every=compact_every)
-
-
 def run(
     scale: float = 0.1,
     seed: int = 7,
     jobs: int = 1,
     shards: int | None = None,
     ledger=None,
-    compact_every: int | None = None,
     profile: bool = False,
 ):
     """Run the batch scan; returns ``(result, engine, elapsed_s)``.
@@ -47,8 +33,6 @@ def run(
     ``ledger`` is a path (or an open :class:`repro.runtime.RunLedger`):
     completed shards are journaled as they finish and already-journaled
     shards are skipped, so a killed run resumes where it left off.
-    ``compact_every`` folds the journal into a snapshot record every N
-    appended shards (``--compact-every``), keeping replay cost flat.
     ``profile`` is an execution knob only — it never changes a result
     byte; a profiled run leaves the merged stage profile on
     ``engine.profile``.
@@ -58,7 +42,6 @@ def run(
     config = WildScanConfig(
         scale=scale, seed=seed, jobs=jobs, shards=shards, profile=profile
     )
-    ledger = _maybe_compacting(ledger, config, compact_every)
     engine = ScanEngine(config, ledger=ledger)
     start = time.perf_counter()
     result = engine.run()
@@ -71,13 +54,12 @@ def render(
     jobs: int = 1,
     shards: int | None = None,
     ledger=None,
-    compact_every: int | None = None,
     profile: bool = False,
     profile_out=None,
 ) -> str:
     result, engine, elapsed = run(
         scale=scale, seed=seed, jobs=jobs, shards=shards, ledger=ledger,
-        compact_every=compact_every, profile=profile,
+        profile=profile,
     )
     txs_per_s = result.total_transactions / elapsed if elapsed else 0.0
     lines = [

@@ -22,7 +22,6 @@ def run_with_engine(
     queue_depth: int | None = None,
     block_size: int | None = None,
     ledger=None,
-    compact_every: int | None = None,
     profile: bool = False,
     windowed: bool = False,
     window_blocks: int | None = None,
@@ -37,9 +36,6 @@ def run_with_engine(
         scale=scale, seed=seed, jobs=jobs, shards=shards,
         profile=profile, split_attacks=split_attacks,
     )
-    from .scan import _maybe_compacting
-
-    ledger = _maybe_compacting(ledger, config, compact_every)
     kwargs = {}
     if queue_depth is not None:
         kwargs["queue_depth"] = queue_depth
@@ -58,7 +54,6 @@ def render(
     queue_depth: int | None = None,
     block_size: int | None = None,
     ledger=None,
-    compact_every: int | None = None,
     profile: bool = False,
     profile_out=None,
     windowed: bool = False,
@@ -68,7 +63,7 @@ def render(
     streamed, engine = run_with_engine(
         scale=scale, jobs=jobs, shards=shards,
         queue_depth=queue_depth, block_size=block_size, ledger=ledger,
-        compact_every=compact_every, profile=profile,
+        profile=profile,
         windowed=windowed, window_blocks=window_blocks,
         split_attacks=split_attacks,
     )

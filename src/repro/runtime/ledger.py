@@ -6,26 +6,25 @@ config_digest)`` plus the full wire-encoded config — and every later
 line journals one finished shard as its lossless wire payload
 (:mod:`repro.engine.wire`)::
 
-    {"kind": "header", "ledger_version": 2, "wire_version": 1,
+    {"kind": "header", "ledger_version": 2, "wire_version": 2,
      "seed": 7, "scale": 0.01, "shard_count": 8,
      "config_digest": "ab12...", "config": {...}}
     {"kind": "shard", "shard": 3, "payload": {...}}
     {"kind": "shard", "shard": 0, "payload": {...}}
 
-Long runs journal one record per shard, so replay cost at open grows
-with shard count. :meth:`RunLedger.compact` folds the contiguous
-journaled *prefix* of shards into a single ``{"kind": "snapshot"}``
-record — the prefix's merged totals, detections and pattern rows, summed
-exactly as :func:`~repro.engine.scan.merge_shard_results` would sum them
-— and rotates the file, so open/replay cost is O(tail), not O(shards)::
+Earlier builds could fold the contiguous journaled prefix of shards into
+one ``{"kind": "snapshot", "shards": k, "generation": g, "merged":
+{...}}`` record right after the header. This build never writes one,
+but still reads it: its ``merged`` payload decodes through the shard
+result codec as one result for shards ``0..k-1``, which the merge folds
+first — byte-identical to merging those shards one by one.
 
-    {"kind": "header", ...}
-    {"kind": "snapshot", "shards": 5, "generation": 1, "merged": {...}}
-    {"kind": "shard", "shard": 6, "payload": {...}}
-
-Because the merge is a left fold in shard order, merging the snapshot
-first and the tail shards after is byte-identical to merging every shard
-individually: compaction never changes a result bit.
+Every line is decoded where it enters, at :meth:`RunLedger.open`: the
+header, each record's envelope and its payload are checked against
+their field tables (:func:`~repro.engine.wire.check_fields`), a record's
+``shard`` must equal its payload's ``shard_index``, and its rows may
+name only patterns the header config enables. The ledger then holds
+checked :class:`~repro.engine.scan.ShardResult`\\ s, never raw dicts.
 
 Durability guarantees — what survives a kill at each point:
 
@@ -41,24 +40,18 @@ Durability guarantees — what survives a kill at each point:
   parent directory*, closing the classic new-file durability gap where
   a crash loses the directory entry while the run believes it is
   journaled.
-- **mid-compaction** — :meth:`compact` writes the compacted journal to
-  ``<path>.<generation>``, fsyncs it, atomically renames it over
-  ``path`` and fsyncs the directory. A kill between write and rename
-  leaves the old file; between rename and directory fsync, the old or
-  the new file — both parse, never neither. Stale ``<path>.N`` leftovers
-  are cleared on the next open.
 - **anything else** — a corrupt interior line, a header from an
-  unsupported ledger version, a payload with the wrong wire schema
-  version, two divergent records for the same shard, or a config whose
-  digest does not match — raises :class:`LedgerError` instead of
-  producing a wrong merge.
+  unsupported ledger version, a record or payload that does not decode,
+  two divergent records for the same shard, or a config whose digest
+  does not match — raises :class:`LedgerError` at open, naming the
+  line, instead of producing a wrong merge.
 
-The merge lives behind the ledger: :meth:`RunLedger.merge` decodes the
-snapshot (if any) plus every journaled payload and feeds them to
-:func:`~repro.engine.scan.merge_shard_results` in shard order, so a
-resumed run's result is byte-identical to an uninterrupted one — the
-codec round-trip is lossless and the merge never sees *where* a shard
-ran, *when* it was journaled, or whether its prefix was compacted.
+The merge lives behind the ledger: :meth:`RunLedger.merge` feeds the
+decoded form of every journaled record to
+:func:`~repro.engine.scan.merge_shard_results`, which merges in shard
+order, so a resumed run's result is byte-identical to an uninterrupted
+one — the codec round-trip is lossless and the merge never sees *where*
+a shard ran or *when* it was journaled.
 """
 
 from __future__ import annotations
@@ -70,10 +63,12 @@ from pathlib import Path
 from ..engine.scan import ShardResult, merge_shard_results
 from ..engine.wire import (
     WIRE_VERSION,
+    WIRE_VERSION_FIELD,
+    Field,
+    check_fields,
     config_digest,
     config_from_wire,
     config_to_wire,
-    detection_from_wire,
     shard_result_from_wire,
     shard_result_to_wire,
 )
@@ -82,16 +77,85 @@ __all__ = ["LEDGER_VERSION", "LedgerError", "RunLedger", "ensure_ledger"]
 
 #: ledger file format version; the header pins it and readers reject
 #: anything newer (the journal outlives the process that wrote it).
-#: v2: snapshot-compaction records (``{"kind": "snapshot"}``) + rotation.
+#: v2: snapshot records, which earlier builds wrote and this one reads.
 LEDGER_VERSION = 2
 
 #: versions this build can still read: v1 files are a strict subset of
 #: v2 (no snapshot records ever appear in them).
 _COMPAT_LEDGER_VERSIONS = frozenset({1, LEDGER_VERSION})
 
+_HEADER = {
+    "kind": Field("string"),
+    "ledger_version": Field(
+        "int", lambda value: value in _COMPAT_LEDGER_VERSIONS,
+        f"not a ledger format version this build reads "
+        f"({sorted(_COMPAT_LEDGER_VERSIONS)})",
+    ),
+    "wire_version": WIRE_VERSION_FIELD,
+    "seed": Field("int"),
+    "scale": Field("number"),
+    "shard_count": Field("int", lambda value: value >= 1, "below 1"),
+    "config_digest": Field("string"),
+    "config": Field("object"),
+}
+
+
+def _record_tables(shard_count: int) -> tuple[dict, dict]:
+    """The shard-record and snapshot-record tables of a ledger with
+    ``shard_count`` shards."""
+    shard = Field(
+        "int", lambda value: 0 <= value < shard_count, f"outside 0..{shard_count - 1}"
+    )
+    shards = Field(
+        "int", lambda value: 1 <= value <= shard_count, f"outside 1..{shard_count}"
+    )
+    return (
+        {"kind": Field("string"), "shard": shard, "payload": Field("object")},
+        {
+            "kind": Field("string"),
+            "shards": shards,
+            "generation": Field("int", lambda value: value >= 1, "below 1"),
+            "merged": Field("object"),
+        },
+    )
+
+
+def _load_json(raw: bytes):
+    """The JSON value of one line, or ``None`` when it does not parse."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+
 
 class LedgerError(ValueError):
     """The ledger cannot be used: version/config mismatch or corruption."""
+
+
+def _check_identity(
+    path, held_config, held_digest: str, held_shards: int, config, shard_count
+) -> None:
+    """Raise :class:`LedgerError` unless ``config`` and ``shard_count``
+    (``None`` skips either check) name the scan a ledger holds — resuming
+    someone else's journal would merge shards from a different scan."""
+    held = (
+        f"(seed={held_config.seed}, scale={held_config.scale}, "
+        f"shard_count={held_shards}, config_digest={held_digest})"
+    )
+    if config is not None and config_digest(config) != held_digest:
+        raise LedgerError(
+            f"{path}: config digest mismatch — the ledger holds a different "
+            f"config {held}, the caller is running (seed={config.seed}, "
+            f"scale={config.scale}, shard_count="
+            f"{shard_count if shard_count is not None else 'auto'}, "
+            f"config_digest={config_digest(config)}); refusing to resume a "
+            f"different scan"
+        )
+    if shard_count is not None and shard_count != held_shards:
+        raise LedgerError(
+            f"{path}: shard count mismatch — the ledger holds {held}, the "
+            f"caller expects shard_count={shard_count}"
+        )
 
 
 class RunLedger:
@@ -101,8 +165,7 @@ class RunLedger:
     :meth:`resume_or_create`; engines normalize path-or-ledger arguments
     through :func:`ensure_ledger`. Thread-safe appends are the caller's
     responsibility (the coordinator records under its lock; the batch
-    and stream engines record from a single thread). ``compact_every``
-    auto-compacts after that many freshly journaled shards.
+    and stream engines record from a single thread).
     """
 
     def __init__(
@@ -111,66 +174,36 @@ class RunLedger:
         config,
         shard_count: int,
         *,
-        payloads: dict[int, dict] | None = None,
-        snapshot: dict | None = None,
-        header_line: str | None = None,
+        results: dict[int, ShardResult] | None = None,
+        folded: int = 0,
         fresh: bool,
-        compact_every: int | None = None,
     ) -> None:
-        if compact_every is not None and compact_every < 1:
-            raise ValueError(f"compact_every must be >= 1, got {compact_every}")
         self.path = path
         self.config = config
         self.shard_count = shard_count
         self.config_digest = config_digest(config)
-        #: shard index -> wire payload, as journaled (compacted prefix
-        #: shards live in :attr:`_snapshot` instead, never here).
-        self._payloads: dict[int, dict] = payloads or {}
-        #: folded prefix: ``{"shards": k, "generation": g, "merged": {...}}``
-        #: meaning shards ``0..k-1`` are compacted into one merged payload.
-        self._snapshot: dict | None = snapshot
-        self._header_line = header_line or json.dumps(
-            self._header_dict(config, shard_count), sort_keys=True
-        )
+        #: shard index -> the decoded form of its journaled record. A
+        #: snapshot record holds shards ``0..folded-1`` as one result,
+        #: filed under shard 0.
+        self._results: dict[int, ShardResult] = results or {}
+        self._folded = folded
         #: shards already in the file when it was opened (what a resume skips).
         self.resumed_count = 0 if fresh else self.completed_count
         #: shards appended by this process.
         self.recorded_count = 0
         #: idempotent re-records that were already journaled.
         self.duplicates_ignored = 0
-        #: successful :meth:`compact` rotations performed by this process.
-        self.compactions = 0
-        self.compact_every = compact_every
-        self._since_compaction = 0
         self._handle = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def create(
-        cls, path, config, shard_count: int, *, compact_every: int | None = None
-    ) -> "RunLedger":
+    def create(cls, path, config, shard_count: int) -> "RunLedger":
         """Start a fresh ledger at ``path`` (fails if the file exists)."""
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         path = Path(path)
-        header_line = json.dumps(cls._header_dict(config, shard_count), sort_keys=True)
-        with open(path, "x", encoding="utf-8") as handle:
-            handle.write(header_line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        # the new-file durability gap: without fsyncing the directory a
-        # crash here can lose the whole file while the run believes its
-        # shards are journaled.
-        cls._fsync_dir(path.parent)
-        return cls(
-            path, config, shard_count,
-            header_line=header_line, fresh=True, compact_every=compact_every,
-        )
-
-    @staticmethod
-    def _header_dict(config, shard_count: int) -> dict:
-        return {
+        header = {
             "kind": "header",
             "ledger_version": LEDGER_VERSION,
             "wire_version": WIRE_VERSION,
@@ -180,29 +213,31 @@ class RunLedger:
             "config_digest": config_digest(config),
             "config": config_to_wire(config),
         }
+        with open(path, "x", encoding="utf-8") as handle:
+            handle.write(json.dumps(header, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        # the new-file durability gap: without fsyncing the directory a
+        # crash here can lose the whole file while the run believes its
+        # shards are journaled.
+        cls._fsync_dir(path.parent)
+        return cls(path, config, shard_count, fresh=True)
 
     @classmethod
-    def open(
-        cls,
-        path,
-        config=None,
-        shard_count: int | None = None,
-        *,
-        compact_every: int | None = None,
-    ) -> "RunLedger":
+    def open(cls, path, config=None, shard_count: int | None = None) -> "RunLedger":
         """Load an existing ledger, verifying it belongs to this scan.
 
         ``config``/``shard_count``, when given, must match the header —
         a ``config_digest`` or shard-count mismatch raises
-        :class:`LedgerError` (resuming someone else's journal would merge
-        shards from a different scan). The ledger's digest is re-derived
-        from its decoded header config, not read from the header, so a
-        ledger written under an older spelling of the same scan resumes;
-        a config that does not decode raises :class:`LedgerError`. A torn
-        trailing line (the mark of a kill mid-append) is tolerated *and
-        truncated away*, so records appended by the resumed run land on a
-        clean line boundary instead of turning the tear into interior
-        corruption at the next open.
+        :class:`LedgerError`. The ledger's digest is re-derived from its
+        decoded header config, not read from the header, so a ledger
+        written under an older spelling of the same scan resumes. Every
+        record is decoded here; one that does not decode raises
+        :class:`LedgerError` naming its line. A torn trailing line (the
+        mark of a kill mid-append) is tolerated *and truncated away*, so
+        records appended by the resumed run land on a clean line
+        boundary instead of turning the tear into interior corruption at
+        the next open.
         """
         path = Path(path)
         try:
@@ -212,219 +247,109 @@ class RunLedger:
         if not data:
             raise LedgerError(f"{path}: empty file, not a ledger")
         # Split records on b"\n" alone — str.splitlines() also splits on
-        # \r, \x1c,   and friends, which both misclassifies a torn
+        # \r, \x1c,   and friends, which both misclassifies a torn
         # tail bearing a stray carriage return and miscounts the intact
         # byte length when truncating it.
         lines = data.split(b"\n")
-        offsets: list[int] = []
-        position = 0
-        for line in lines:
-            offsets.append(position)
-            position += len(line) + 1
-        header_line = cls._decode_record_line(path, lines[0], 1)
-        if header_line is None:
+        header = _load_json(lines[0])
+        if header is None:
             raise LedgerError(f"{path}: undecodable header line")
-        header = cls._parse_header(path, header_line)
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise LedgerError(f"{path}: first line is not a ledger header")
+        try:
+            check_fields(header, _HEADER, "ledger header")
+        except ValueError as exc:
+            raise LedgerError(f"{path}: line 1: {exc}") from None
         try:
             ledger_config = config_from_wire(header["config"])
         except ValueError as exc:
             raise LedgerError(f"{path}: header config does not decode: {exc}") from None
-        ledger_digest = config_digest(ledger_config)
-        if config is not None and config_digest(config) != ledger_digest:
-            raise LedgerError(
-                f"{path}: config digest mismatch — the ledger was written for "
-                f"(seed={header['seed']}, scale={header['scale']}, "
-                f"shard_count={header['shard_count']}, "
-                f"config_digest={ledger_digest}), the caller is "
-                f"resuming (seed={config.seed}, scale={config.scale}, "
-                f"shard_count={shard_count if shard_count is not None else 'auto'}, "
-                f"config_digest={config_digest(config)}); refusing to resume a "
-                f"different scan"
-            )
-        if shard_count is not None and shard_count != header["shard_count"]:
-            raise LedgerError(
-                f"{path}: shard count mismatch — the ledger was written for "
-                f"(seed={header['seed']}, scale={header['scale']}, "
-                f"shard_count={header['shard_count']}, "
-                f"config_digest={header['config_digest']}), the caller "
-                f"expects shard_count={shard_count}"
-            )
-        payloads, snapshot, torn_at = cls._parse_records(
-            path, lines, offsets, header["shard_count"]
+        held_shards = header["shard_count"]
+        _check_identity(
+            path, ledger_config, config_digest(ledger_config), held_shards,
+            config, shard_count,
+        )
+        results, folded, torn_at = cls._read_records(
+            path, lines, held_shards, ledger_config.pattern_config.enabled
         )
         if torn_at is not None:
             cls._truncate_at(path, torn_at)
-        cls._clear_stale_rotations(path)
         return cls(
-            path, ledger_config, header["shard_count"],
-            payloads=payloads, snapshot=snapshot, header_line=header_line,
-            fresh=False, compact_every=compact_every,
+            path, ledger_config, held_shards,
+            results=results, folded=folded, fresh=False,
         )
 
     @classmethod
-    def resume_or_create(
-        cls, path, config, shard_count: int, *, compact_every: int | None = None
-    ) -> "RunLedger":
+    def resume_or_create(cls, path, config, shard_count: int) -> "RunLedger":
         """Open ``path`` when it exists (verified), else start it fresh."""
         if Path(path).exists():
-            return cls.open(
-                path, config=config, shard_count=shard_count,
-                compact_every=compact_every,
-            )
-        return cls.create(path, config, shard_count, compact_every=compact_every)
+            return cls.open(path, config=config, shard_count=shard_count)
+        return cls.create(path, config, shard_count)
 
-    @classmethod
-    def for_config(cls, path, config, *, compact_every: int | None = None) -> "RunLedger":
-        """Resume-or-create with the shard count resolved from ``config``
-        exactly as the engines resolve it (CLI/example convenience)."""
-        from ..engine.plan import build_full_schedule
-
-        _, shard_count = build_full_schedule(config)
-        return cls.resume_or_create(
-            path, config, shard_count,
-            compact_every=compact_every,
-        )
-
-    # -- header / record parsing ----------------------------------------
+    # -- record parsing --------------------------------------------------
 
     @staticmethod
-    def _decode_record_line(path: Path, raw: bytes, number: int) -> str | None:
-        """Decode one record line to text; ``None`` marks undecodable bytes."""
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-
-    @staticmethod
-    def _parse_header(path: Path, line: str) -> dict:
-        try:
-            header = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LedgerError(f"{path}: undecodable header line: {exc}") from None
-        if not isinstance(header, dict) or header.get("kind") != "header":
-            raise LedgerError(f"{path}: first line is not a ledger header")
-        version = header.get("ledger_version")
-        if version not in _COMPAT_LEDGER_VERSIONS:
-            raise LedgerError(
-                f"{path}: ledger format version mismatch — file says "
-                f"{version!r}, this build speaks v{LEDGER_VERSION}"
-            )
-        if header.get("wire_version") != WIRE_VERSION:
-            raise LedgerError(
-                f"{path}: wire schema version mismatch — file says "
-                f"{header.get('wire_version')!r}, this build speaks "
-                f"v{WIRE_VERSION}"
-            )
-        for field in ("seed", "scale", "shard_count", "config_digest", "config"):
-            if field not in header:
-                raise LedgerError(f"{path}: header is missing {field!r}")
-        return header
-
-    @classmethod
-    def _parse_records(
-        cls, path: Path, lines: list[bytes], offsets: list[int], shard_count: int
-    ) -> tuple[dict, dict | None, int | None]:
-        """Parse record lines; returns ``(payloads, snapshot, torn_at)``.
+    def _read_records(
+        path: Path, lines: list[bytes], shard_count: int, enabled
+    ) -> tuple[dict[int, ShardResult], int, int | None]:
+        """Decode the record lines; returns ``(results, folded, torn_at)``.
 
         ``torn_at`` is the byte offset of a torn trailing record (to
-        truncate), ``None`` when the tail is clean. A decode failure is
-        torn when nothing but blank lines follows it — the final segment
-        of a file killed mid-append, *or* a partial record whose trailing
-        newline came from an earlier flush.
+        truncate), ``None`` when the tail is clean. A line that does not
+        parse is torn when nothing but blank lines follows it — the final
+        segment of a file killed mid-append, *or* a partial record whose
+        trailing newline came from an earlier flush.
         """
-        payloads: dict[int, dict] = {}
-        snapshot: dict | None = None
-        torn_at: int | None = None
-        for number in range(1, len(lines)):
-            raw = lines[number]
+        shard_table, snapshot_table = _record_tables(shard_count)
+        results: dict[int, ShardResult] = {}
+        folded = 0
+        position = len(lines[0]) + 1
+        for index in range(1, len(lines)):
+            raw = lines[index]
+            offset, position = position, position + len(raw) + 1
             if not raw.strip():
                 continue
-            text = cls._decode_record_line(path, raw, number + 1)
-            record = None
-            if text is not None:
-                try:
-                    record = json.loads(text)
-                except json.JSONDecodeError:
-                    record = None
+            number = index + 1
+            record = _load_json(raw)
             if record is None:
-                if all(not rest.strip() for rest in lines[number + 1:]):
-                    torn_at = offsets[number]  # torn tail: the kill's signature
-                    break
-                raise LedgerError(
-                    f"{path}: corrupt interior record at line {number + 1}"
-                )
+                if all(not rest.strip() for rest in lines[index + 1:]):
+                    return results, folded, offset  # torn tail: the kill's signature
+                raise LedgerError(f"{path}: corrupt interior record at line {number}")
             if not isinstance(record, dict):
-                raise LedgerError(
-                    f"{path}: line {number + 1} is not a ledger record"
-                )
+                raise LedgerError(f"{path}: line {number} is not a ledger record")
             kind = record.get("kind")
-            if kind == "snapshot":
-                if snapshot is not None or payloads:
-                    raise LedgerError(
-                        f"{path}: line {number + 1}: a snapshot record must be "
-                        f"the first record (compaction writes exactly one)"
+            if kind not in ("shard", "snapshot"):
+                raise LedgerError(f"{path}: line {number} is not a shard record")
+            if kind == "snapshot" and (folded or results):
+                raise LedgerError(
+                    f"{path}: line {number}: a snapshot record must be the "
+                    f"first record (earlier builds wrote exactly one)"
+                )
+            try:
+                if kind == "snapshot":
+                    check_fields(record, snapshot_table, "snapshot record")
+                    results[0] = shard_result_from_wire(
+                        {"shard_index": 0, **record["merged"]}, shard=0, enabled=enabled
                     )
-                snapshot = cls._validate_snapshot(path, record, number + 1, shard_count)
-                continue
-            if kind != "shard":
-                raise LedgerError(
-                    f"{path}: line {number + 1} is not a shard record"
+                    folded = record["shards"]
+                    continue
+                check_fields(record, shard_table, "shard record")
+                shard = record["shard"]
+                result = shard_result_from_wire(
+                    record["payload"], shard=shard, enabled=enabled
                 )
-            shard = record.get("shard")
-            payload = record.get("payload")
-            if not isinstance(shard, int) or not 0 <= shard < shard_count:
-                raise LedgerError(
-                    f"{path}: line {number + 1} names shard {shard!r}, "
-                    f"outside 0..{shard_count - 1}"
-                )
-            if not isinstance(payload, dict) or payload.get("v") != WIRE_VERSION:
-                raise LedgerError(
-                    f"{path}: shard {shard} payload has wire version "
-                    f"{payload.get('v') if isinstance(payload, dict) else None!r}, "
-                    f"this build speaks v{WIRE_VERSION}"
-                )
-            if snapshot is not None and shard < snapshot["shards"]:
+            except ValueError as exc:
+                raise LedgerError(f"{path}: line {number}: {exc}") from None
+            if shard < folded:
                 continue  # already folded into the snapshot: first wins
-            if shard in payloads:
-                if payloads[shard] != payload:
+            if shard in results:
+                if results[shard] != result:
                     raise LedgerError(
                         f"{path}: divergent duplicate records for shard {shard}"
                     )
                 continue  # identical duplicate: first wins
-            payloads[shard] = payload
-        return payloads, snapshot, torn_at
-
-    @staticmethod
-    def _validate_snapshot(
-        path: Path, record: dict, line_number: int, shard_count: int
-    ) -> dict:
-        shards = record.get("shards")
-        generation = record.get("generation")
-        merged = record.get("merged")
-        if not isinstance(shards, int) or not 1 <= shards <= shard_count:
-            raise LedgerError(
-                f"{path}: line {line_number}: snapshot covers {shards!r} "
-                f"shard(s), outside 1..{shard_count}"
-            )
-        if not isinstance(generation, int) or generation < 1:
-            raise LedgerError(
-                f"{path}: line {line_number}: snapshot generation "
-                f"{generation!r} is not a positive integer"
-            )
-        if (
-            not isinstance(merged, dict)
-            or merged.get("v") != WIRE_VERSION
-            or not all(
-                field in merged
-                for field in ("total_transactions", "detections", "row_counts")
-            )
-        ):
-            raise LedgerError(
-                f"{path}: line {line_number}: snapshot merged payload is "
-                f"malformed or has the wrong wire version (this build speaks "
-                f"v{WIRE_VERSION})"
-            )
-        return {"shards": shards, "generation": generation, "merged": merged}
+            results[shard] = result
+        return results, folded, None
 
     @staticmethod
     def _truncate_at(path: Path, offset: int) -> None:
@@ -437,7 +362,7 @@ class RunLedger:
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:
-        """fsync a directory entry (new file / rename durability)."""
+        """fsync a directory entry (new file durability)."""
         flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
         try:
             fd = os.open(directory, flags)
@@ -450,51 +375,39 @@ class RunLedger:
         finally:
             os.close(fd)
 
-    @staticmethod
-    def _clear_stale_rotations(path: Path) -> None:
-        """Remove ``<path>.N`` leftovers from a compaction that crashed
-        between write and rename (the rotation never took effect)."""
-        for sibling in path.parent.glob(path.name + ".*"):
-            if sibling.suffix[1:].isdigit():
-                try:
-                    sibling.unlink()
-                except OSError:
-                    pass
-
     # -- journaling ------------------------------------------------------
 
     def record(self, result: ShardResult) -> bool:
-        """Journal one finished shard; False if it was already journaled."""
-        return self.record_payload(
-            result.shard_index, shard_result_to_wire(result)
-        )
+        """Journal one finished shard durably (idempotent).
 
-    def record_payload(self, shard: int, payload: dict) -> bool:
-        """Journal one shard's wire payload durably (idempotent).
-
-        A shard already journaled with the same payload — or folded into
-        the compacted snapshot prefix, where the individual payload is no
-        longer held for comparison — is skipped (``False``; counted in
-        ``duplicates_ignored``): the late-result path after a resume. A
-        *different* payload for a still-held shard raises
-        :class:`LedgerError`: the determinism contract says that cannot
-        happen, so it marks corruption, not a race.
+        The ledger keeps what a reader of the written bytes decodes, so
+        :meth:`merge` merges exactly that and a ``profile`` sidecar never
+        tells two records apart. A shard already journaled with the same
+        result — or folded into a snapshot record — is skipped
+        (``False``; counted in ``duplicates_ignored``): the late-result
+        path after a resume. A *different* result for a journaled shard
+        raises :class:`LedgerError`: the determinism contract says that
+        cannot happen, so it marks corruption, not a race.
         """
+        shard = result.shard_index
         if not 0 <= shard < self.shard_count:
-            raise LedgerError(
-                f"shard {shard} outside 0..{self.shard_count - 1}"
-            )
-        if not isinstance(payload, dict) or payload.get("v") != WIRE_VERSION:
-            raise LedgerError(
-                f"shard {shard}: refusing to journal a payload with wire "
-                f"version {payload.get('v') if isinstance(payload, dict) else None!r}"
-            )
-        if self._snapshot is not None and shard < self._snapshot["shards"]:
+            raise LedgerError(f"shard {shard} outside 0..{self.shard_count - 1}")
+        if shard < self._folded:
             self.duplicates_ignored += 1
             return False
-        existing = self._payloads.get(shard)
+        payload = shard_result_to_wire(result)
+        try:
+            decoded = shard_result_from_wire(
+                payload, shard=shard, enabled=self.config.pattern_config.enabled
+            )
+        except ValueError as exc:
+            raise LedgerError(
+                f"shard {shard}: refusing to journal a result that does not "
+                f"decode: {exc}"
+            ) from None
+        existing = self._results.get(shard)
         if existing is not None:
-            if existing != payload:
+            if existing != decoded:
                 raise LedgerError(
                     f"shard {shard}: divergent result for an already-journaled "
                     f"shard — same scan identity must produce identical shards"
@@ -504,171 +417,40 @@ class RunLedger:
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(
-            json.dumps({"kind": "shard", "shard": shard, "payload": payload})
-            + "\n"
+            json.dumps({"kind": "shard", "shard": shard, "payload": payload}) + "\n"
         )
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self._payloads[shard] = payload
+        self._results[shard] = decoded
         self.recorded_count += 1
-        self._since_compaction += 1
-        if (
-            self.compact_every is not None
-            and self._since_compaction >= self.compact_every
-        ):
-            self.compact()
         return True
-
-    # -- compaction ------------------------------------------------------
-
-    @property
-    def snapshot_shards(self) -> int:
-        """Shards folded into the snapshot prefix (0 when uncompacted)."""
-        return 0 if self._snapshot is None else self._snapshot["shards"]
-
-    @property
-    def generation(self) -> int:
-        """Compaction rotations this file has been through."""
-        return 0 if self._snapshot is None else self._snapshot["generation"]
-
-    def compact(self) -> bool:
-        """Fold the contiguous journaled prefix into one snapshot record.
-
-        The rotation is crash-safe: the compacted journal is written to
-        ``<path>.<generation>``, fsync'd, atomically renamed over
-        ``path``, and the directory entry fsync'd. A kill between write
-        and rename leaves the old file at ``path``; between rename and
-        directory fsync, the old or the new file — both parse, never
-        neither. Returns ``False`` when the contiguous prefix cannot be
-        extended (nothing new to fold).
-        """
-        base = self.snapshot_shards
-        extent = base
-        while extent < self.shard_count and extent in self._payloads:
-            extent += 1
-        if extent == base:
-            return False
-        merged = self._fold(
-            None if self._snapshot is None else self._snapshot["merged"],
-            [self._payloads[shard] for shard in range(base, extent)],
-        )
-        snapshot = {
-            "shards": extent,
-            "generation": self.generation + 1,
-            "merged": merged,
-        }
-        tail = {
-            shard: payload
-            for shard, payload in self._payloads.items()
-            if shard >= extent
-        }
-        # the append handle points at the soon-to-be-replaced inode;
-        # close it so the next append reopens the rotated file.
-        self.close()
-        rotated = self.path.with_name(f"{self.path.name}.{snapshot['generation']}")
-        with open(rotated, "w", encoding="utf-8") as handle:
-            handle.write(self._header_line + "\n")
-            handle.write(json.dumps({"kind": "snapshot", **snapshot}) + "\n")
-            for shard in sorted(tail):
-                handle.write(
-                    json.dumps(
-                        {"kind": "shard", "shard": shard, "payload": tail[shard]}
-                    )
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(rotated, self.path)
-        self._fsync_dir(self.path.parent)
-        self._snapshot = snapshot
-        self._payloads = tail
-        self.compactions += 1
-        self._since_compaction = 0
-        return True
-
-    @staticmethod
-    def _fold(base: dict | None, payloads: list[dict]) -> dict:
-        """Sum wire payloads in shard order, exactly as the merge would."""
-        merged = {
-            "v": WIRE_VERSION,
-            "total_transactions": 0,
-            "detections": [],
-            "row_counts": {},
-        }
-        if base is not None:
-            merged["total_transactions"] = base["total_transactions"]
-            merged["detections"] = list(base["detections"])
-            merged["row_counts"] = {
-                name: list(counts) for name, counts in base["row_counts"].items()
-            }
-        for payload in payloads:
-            merged["total_transactions"] += payload["total_transactions"]
-            merged["detections"].extend(payload["detections"])
-            for name, counts in payload["row_counts"].items():
-                row = merged["row_counts"].setdefault(name, [0, 0, 0])
-                row[0] += counts[0]
-                row[1] += counts[1]
-                row[2] += counts[2]
-        return merged
-
-    def _snapshot_result(self) -> ShardResult:
-        """The folded prefix as one pseudo shard result.
-
-        ``shard_index=-1`` sorts before every real shard, so
-        :func:`~repro.engine.scan.merge_shard_results` folds the prefix
-        first — the exact order the individual shards would have merged.
-        """
-        merged = self._snapshot["merged"]
-        return ShardResult(
-            shard_index=-1,
-            total_transactions=merged["total_transactions"],
-            detections=[detection_from_wire(d) for d in merged["detections"]],
-            row_counts={
-                name: list(counts) for name, counts in merged["row_counts"].items()
-            },
-        )
 
     # -- resume / merge --------------------------------------------------
 
-    @property
-    def completed_payloads(self) -> dict[int, dict]:
-        """Individually journaled shard payloads (shard index -> wire
-        dict), read-only use. Shards folded into the snapshot prefix are
-        *not* here — use :meth:`completed_shards` for the done-set."""
-        return self._payloads
-
     def completed_shards(self) -> frozenset[int]:
-        """Every journaled shard index: snapshot prefix plus tail records."""
-        done = set(self._payloads)
-        done.update(range(self.snapshot_shards))
-        return frozenset(done)
+        """Every journaled shard index, snapshot prefix included."""
+        return frozenset(self._results).union(range(self._folded))
 
     @property
     def completed_count(self) -> int:
-        # prefix and tail are disjoint by construction (record_payload
-        # never re-adds a compacted shard; open drops prefix duplicates).
-        return self.snapshot_shards + len(self._payloads)
+        return len(self.completed_shards())
 
     def remaining(self) -> list[int]:
         """Shard indices still missing from the journal, ascending."""
         done = self.completed_shards()
-        return [
-            shard for shard in range(self.shard_count)
-            if shard not in done
-        ]
+        return [shard for shard in range(self.shard_count) if shard not in done]
 
     @property
     def is_complete(self) -> bool:
         return self.completed_count == self.shard_count
 
     def merge(self):
-        """Decode the snapshot (if any) plus every journaled shard and
-        merge, in shard order.
+        """Merge every journaled shard, in shard order.
 
         This is the single merge path for ledger-backed runs: batch,
         stream and cluster all journal first and merge from the journal,
-        which is what makes an interrupted-and-resumed run — compacted or
-        not — byte-identical to an uninterrupted one.
+        which is what makes an interrupted-and-resumed run byte-identical
+        to an uninterrupted one.
         """
         missing = self.remaining()
         if missing:
@@ -676,14 +458,7 @@ class RunLedger:
                 f"cannot merge an incomplete ledger: shard(s) {missing} "
                 f"not journaled"
             )
-        outcomes = []
-        if self._snapshot is not None:
-            outcomes.append(self._snapshot_result())
-        outcomes.extend(
-            shard_result_from_wire(self._payloads[shard])
-            for shard in sorted(self._payloads)
-        )
-        return merge_shard_results(self.config, outcomes)
+        return merge_shard_results(self.config, list(self._results.values()))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -701,38 +476,19 @@ class RunLedger:
         self.close()
 
 
-def ensure_ledger(
-    ledger, config, shard_count: int, *, compact_every: int | None = None
-) -> RunLedger | None:
+def ensure_ledger(ledger, config, shard_count: int) -> RunLedger | None:
     """Normalize an engine's ``ledger`` argument.
 
     ``None`` passes through; a path resumes-or-creates; an existing
     :class:`RunLedger` is verified against this scan's ``config_digest``
-    and shard count (mismatch raises :class:`LedgerError`) and keeps its
-    own ``compact_every`` setting.
+    and shard count (mismatch raises :class:`LedgerError`).
     """
     if ledger is None:
         return None
     if isinstance(ledger, RunLedger):
-        if ledger.config_digest != config_digest(config):
-            raise LedgerError(
-                f"{ledger.path}: ledger was opened for a different config "
-                f"(digest mismatch) — the ledger holds "
-                f"(seed={ledger.config.seed}, scale={ledger.config.scale}, "
-                f"shard_count={ledger.shard_count}, "
-                f"config_digest={ledger.config_digest}), this run is "
-                f"(seed={config.seed}, scale={config.scale}, "
-                f"shard_count={shard_count}, "
-                f"config_digest={config_digest(config)})"
-            )
-        if ledger.shard_count != shard_count:
-            raise LedgerError(
-                f"{ledger.path}: ledger has shard_count={ledger.shard_count}, "
-                f"this run resolves {shard_count} "
-                f"(both at seed={config.seed}, scale={config.scale}, "
-                f"config_digest={config_digest(config)})"
-            )
+        _check_identity(
+            ledger.path, ledger.config, ledger.config_digest, ledger.shard_count,
+            config, shard_count,
+        )
         return ledger
-    return RunLedger.resume_or_create(
-        ledger, config, shard_count, compact_every=compact_every
-    )
+    return RunLedger.resume_or_create(ledger, config, shard_count)

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..engine.wire import config_digest, config_to_wire
+from ..engine.wire import Field, check_fields, config_digest, config_to_wire
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -53,6 +53,30 @@ RUN_STATES = ("queued", "resuming", "running", "completed", "failed")
 
 #: states in which a duplicate submission coalesces instead of enqueueing.
 COALESCE_STATES = ("queued", "resuming", "running", "completed")
+
+_COUNT = Field("int", lambda value: value >= 0, "negative")
+_TIME = Field("number or null")
+#: the v2 manifest's field table; v1 adds ``backend``, ignored on load.
+_MANIFEST = {
+    "manifest_version": Field("int"),
+    "run_id": Field("string"),
+    "config": Field("object"),
+    "config_digest": Field("string"),
+    "state": Field("string", lambda value: value in RUN_STATES, "an unknown state"),
+    "jobs": Field("int", lambda value: value >= 1, "below 1"),
+    "shard_count": Field("int or null", lambda value: value >= 1, "below 1"),
+    "submitted_at": Field("number"),
+    "started_at": _TIME,
+    "finished_at": _TIME,
+    "error": Field("string or null"),
+    "adopted": Field("bool"),
+    "warm_hits": _COUNT,
+    "warm_misses": _COUNT,
+    "shards_resumed": _COUNT,
+    "shards_recorded": _COUNT,
+    "summary": Field("object or null"),
+}
+_MANIFEST_V1 = {**_MANIFEST, "backend": Field("string")}
 
 
 def run_id_for(config) -> str:
@@ -81,8 +105,8 @@ class RunRecord:
     #: the run re-entered the queue from a restart's ledger adoption.
     adopted: bool = False
     #: always 0: the service no longer keeps warm shard worlds. Kept so
-    #: v1 manifests written with them still load (``from_dict`` rejects
-    #: unknown fields) and readers of the run view still find the keys.
+    #: manifests written with them still load (``from_dict`` rejects
+    #: missing fields) and readers of the run view still find the keys.
     warm_hits: int = 0
     warm_misses: int = 0
     #: shards loaded from the journal vs. freshly executed.
@@ -114,7 +138,9 @@ class RunRecord:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "RunRecord":
+    def from_dict(cls, payload) -> "RunRecord":
+        """Decode a manifest; ``ValueError`` unless it has its version's
+        exact fields, each of its declared type and range."""
         if not isinstance(payload, dict):
             raise ValueError("run manifest is not a JSON object")
         version = payload.get("manifest_version")
@@ -123,20 +149,13 @@ class RunRecord:
                 f"run manifest version mismatch — file says {version!r}, "
                 f"this build speaks v1 and v{MANIFEST_VERSION}"
             )
-        known = {f for f in cls.__dataclass_fields__}
-        fields = {k: v for k, v in payload.items() if k != "manifest_version"}
-        if version == 1:
-            fields.pop("backend", None)
-        unknown = sorted(set(fields) - known)
-        if unknown:
-            raise ValueError(f"run manifest has unknown field(s) {unknown}")
-        missing = sorted(known - set(fields))
-        if missing:
-            raise ValueError(f"run manifest is missing field(s) {missing}")
-        record = cls(**fields)
-        if record.state not in RUN_STATES:
-            raise ValueError(f"run manifest names unknown state {record.state!r}")
-        return record
+        check_fields(
+            payload, _MANIFEST_V1 if version == 1 else _MANIFEST, "run manifest"
+        )
+        return cls(**{
+            key: value for key, value in payload.items()
+            if key not in ("manifest_version", "backend")
+        })
 
 
 class RunRegistry:

@@ -25,12 +25,18 @@ Request types::
     stats    {}                               -> {ok, stats}
     drain    {timeout?}                       -> {ok, drained}
 
+Each request type has one field table (:data:`REQUESTS`), checked before
+the request runs: a key the type does not name, a missing ``run_id`` or
+``config``, or a value of the wrong JSON type or outside its range (a
+``jobs`` below 1, a negative ``offset``, a ``limit`` below 1, a
+``timeout`` that is not a non-negative number of seconds) is answered
+with ``bad-request``, and so is a submitted config that does not decode.
 A ``wait`` still parked when the server stops is answered with the
 ``stopping`` kind.
 
 Connections are serial per client (request, response, repeat), exactly
-like the worker protocol — no pipelining, no partial responses. A key
-that a request type does not name is ignored.
+like the worker protocol — no pipelining, no partial responses. Every
+well-framed request gets a response, and the connection stays open.
 """
 
 from __future__ import annotations
@@ -40,12 +46,46 @@ import threading
 import time
 
 from ..cluster.protocol import ConnectionClosed, ProtocolError, recv_message, send_message
+from ..engine.wire import Field, check_fields
 from .service import AdmissionError, ScanService, ServiceError, UnknownRunError
 
-__all__ = ["SERVICE_PROTOCOL_VERSION", "ServerStopping", "ServiceServer"]
+__all__ = ["REQUESTS", "SERVICE_PROTOCOL_VERSION", "ServerStopping", "ServiceServer"]
 
 #: framed-request schema version; bumped on incompatible change.
 SERVICE_PROTOCOL_VERSION = 1
+
+_RUN_ID = Field("string", bool, "empty")
+#: a timeout the service can wait on: ``null`` waits without one.
+_TIMEOUT = Field(
+    "number or null", lambda value: 0 <= value <= threading.TIMEOUT_MAX,
+    "not a number of seconds from 0 to threading.TIMEOUT_MAX", optional=True,
+)
+_ENVELOPE = {"type": Field("string"), "protocol_version": Field("int", optional=True)}
+
+#: request type -> its field table (the envelope's ``type`` and
+#: ``protocol_version`` included).
+REQUESTS = {
+    kind: {**_ENVELOPE, **fields}
+    for kind, fields in {
+        "ping": {},
+        "submit": {
+            "config": Field("object"),
+            "jobs": Field("int", lambda value: value >= 1, "below 1", optional=True),
+        },
+        "status": {"run_id": _RUN_ID},
+        "wait": {"run_id": _RUN_ID, "timeout": _TIMEOUT},
+        "runs": {},
+        "results": {
+            "run_id": _RUN_ID,
+            "offset": Field("int", lambda value: value >= 0, "negative", optional=True),
+            "limit": Field(
+                "int or null", lambda value: value >= 1, "below 1", optional=True
+            ),
+        },
+        "stats": {},
+        "drain": {"timeout": _TIMEOUT},
+    }.items()
+}
 
 #: how often the accept loop and a parked ``wait`` look for stop().
 _POLL_S = 0.2
@@ -141,10 +181,11 @@ class ServiceServer:
                 name="scan-service-conn",
                 daemon=True,
             )
-            thread.start()
-            # drop the entries of handlers whose client has gone
+            # drop the entries of handlers whose client has gone, and
+            # list the new one before it can answer its first request.
             self._conns = [entry for entry in self._conns if entry[0].is_alive()]
             self._conns.append((thread, conn))
+            thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
@@ -177,7 +218,8 @@ class ServiceServer:
 
     # -- request handling ------------------------------------------------
 
-    def _dispatch(self, request: dict) -> dict:
+    def _dispatch(self, request) -> dict:
+        """The response to one request: every request gets one."""
         try:
             return self._handle(request)
         except AdmissionError as exc:
@@ -191,7 +233,7 @@ class ServiceServer:
         except TimeoutError as exc:
             return {"ok": False, "error": str(exc), "kind": "timeout"}
 
-    def _handle(self, request: dict) -> dict:
+    def _handle(self, request) -> dict:
         if not isinstance(request, dict):
             raise ServiceError("request is not a JSON object")
         version = request.get("protocol_version", SERVICE_PROTOCOL_VERSION)
@@ -201,43 +243,34 @@ class ServiceServer:
                 f"server speaks v{SERVICE_PROTOCOL_VERSION}"
             )
         kind = request.get("type")
+        if not isinstance(kind, str) or kind not in REQUESTS:
+            raise ServiceError(f"unknown request type {kind!r}")
+        check_fields(request, REQUESTS[kind], f"{kind} request")
         if kind == "ping":
             return {"ok": True, "protocol_version": SERVICE_PROTOCOL_VERSION}
         if kind == "submit":
-            config = request.get("config")
-            if not isinstance(config, dict):
-                raise ServiceError("submit needs a wire-form 'config' object")
             view, coalesced = self.service.submit(
-                config, jobs=int(request.get("jobs", 1))
+                request["config"], jobs=request.get("jobs", 1)
             )
             return {"ok": True, "run": view, "coalesced": coalesced}
         if kind == "status":
-            return {"ok": True, "run": self.service.status(self._run_id(request))}
+            return {"ok": True, "run": self.service.status(request["run_id"])}
         if kind == "wait":
-            timeout = request.get("timeout")
-            view = self._wait(
-                self._run_id(request), None if timeout is None else float(timeout)
-            )
+            view = self._wait(request["run_id"], request.get("timeout"))
             return {"ok": True, "run": view}
         if kind == "runs":
             return {"ok": True, "runs": self.service.runs()}
         if kind == "results":
-            limit = request.get("limit")
             payload = self.service.results(
-                self._run_id(request),
-                offset=int(request.get("offset", 0)),
-                limit=None if limit is None else int(limit),
+                request["run_id"],
+                offset=request.get("offset", 0),
+                limit=request.get("limit"),
             )
             return {"ok": True, **payload}
         if kind == "stats":
             return {"ok": True, "stats": self.service.stats()}
-        if kind == "drain":
-            timeout = request.get("timeout")
-            drained = self.service.drain(
-                None if timeout is None else float(timeout)
-            )
-            return {"ok": True, "drained": drained}
-        raise ServiceError(f"unknown request type {kind!r}")
+        drained = self.service.drain(request.get("timeout"))
+        return {"ok": True, "drained": drained}
 
     def _wait(self, run_id: str, timeout: float | None) -> dict:
         """``ScanService.wait`` in slices of at most ``_POLL_S``, so a
@@ -252,10 +285,3 @@ class ServiceServer:
                     state = self.service.status(run_id)["state"]
                     raise TimeoutError(f"run {run_id} still {state} after {timeout}s") from None
         raise ServerStopping(f"server stopped while waiting for run {run_id}")
-
-    @staticmethod
-    def _run_id(request: dict) -> str:
-        run_id = request.get("run_id")
-        if not isinstance(run_id, str) or not run_id:
-            raise ServiceError("request needs a 'run_id' string")
-        return run_id

@@ -9,6 +9,7 @@ and in what order their results arrive.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -22,7 +23,12 @@ from repro.cluster import (
     WorkerKilled,
     run_cluster_scan,
 )
-from repro.cluster.protocol import PROTOCOL_VERSION, recv_message, send_message
+from repro.cluster.protocol import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    recv_message,
+    send_message,
+)
 from repro.engine.wire import config_to_wire
 from repro.engine.plan import build_schedule, shard_schedule
 from repro.engine.scan import ScanEngine, run_shard
@@ -493,3 +499,136 @@ class TestStatsViews:
         from repro.cluster.coordinator import ClusterStats
 
         assert ClusterStats().resumed_shards == 0
+
+
+class TestUndecodableFrames:
+    """A ``result`` frame that does not decode is a protocol error: its
+    sender loses the connection and earns a strike, its shard requeues to
+    a healthy worker at once, and nothing of the frame is merged or
+    journaled."""
+
+    @staticmethod
+    def _run_past_bad_result(tmp_path, bad_frame):
+        """One shard, taken by a raw-socket worker that answers with
+        ``bad_frame(shard, payload)`` while a healthy worker sits parked;
+        returns ``(result, coordinator, elapsed_s, genuine_payload)``."""
+        config = _config(shards=1)
+        parts = shard_schedule(build_schedule(config.scale, config.seed), 1)
+        payload = shard_result_to_wire(run_shard((config, 0, 1, parts[0])))
+        coordinator = Coordinator(
+            config, ledger=tmp_path / "run.ledger", local_fallback=False
+        )
+        coordinator.start()
+        healthy = threading.Thread(
+            target=ClusterWorker(coordinator.address, name="healthy").run, daemon=True
+        )
+        try:
+            with socket.create_connection(coordinator.address, timeout=10.0) as sock:
+                send_message(
+                    sock, {"type": "hello", "worker": "bad", "protocol": PROTOCOL_VERSION}
+                )
+                assert recv_message(sock)["type"] == "welcome"
+                send_message(sock, {"type": "ready"})
+                assign = recv_message(sock)
+                assert assign["type"] == "assign"
+                healthy.start()
+                _wait_for(
+                    lambda: coordinator.stats.workers_seen == 2,
+                    message="the healthy worker to park",
+                )
+                send_message(sock, bad_frame(assign["shard"], payload))
+                started = time.monotonic()
+                result = coordinator.run(timeout=30.0)
+                elapsed = time.monotonic() - started
+        finally:
+            coordinator.shutdown()
+            healthy.join(timeout=10.0)
+        return result, coordinator, elapsed, payload
+
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [
+            lambda shard, payload: {
+                "type": "result", "shard": shard, "payload": {**payload, "detections": 3}
+            },
+            lambda shard, payload: {"type": "result", "payload": payload},
+            lambda shard, payload: {
+                "type": "result", "shard": shard,
+                "payload": {**payload, "row_counts": {"FOO": [1, 0, 1]}},
+            },
+            lambda shard, payload: {
+                "type": "result", "shard": shard,
+                "payload": {**payload, "row_counts": {"SANDWICH": [1, 0, 1]}},
+            },
+            lambda shard, payload: {"type": "shard-error", "shard": [shard]},
+        ],
+        ids=["detections-int", "no-shard", "unknown-row", "row-not-enabled",
+             "shard-error-list"],
+    )
+    def test_bad_frame_requeues_with_a_strike(self, tmp_path, bad_frame):
+        result, coordinator, elapsed, payload = self._run_past_bad_result(
+            tmp_path, bad_frame
+        )
+        batch = WildScanner(_config(shards=1)).run()
+        assert fingerprint(result) == fingerprint(batch)
+        assert elapsed < 20.0  # finished by the healthy worker, not a timeout
+        assert coordinator.stats.worker_losses == 1
+        assert coordinator.stats.requeues == 1
+        assert coordinator._workers["bad"].strikes == 1
+        assert coordinator._workers["healthy"].completed == 1
+        # only the healthy worker's result reached the journal, and it
+        # resumes to the same bytes
+        from repro.runtime import RunLedger
+
+        lines = (tmp_path / "run.ledger").read_text().splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[1])["payload"] == payload
+        resumed = ScanEngine(_config(shards=1), ledger=tmp_path / "run.ledger").run()
+        assert fingerprint(resumed) == fingerprint(batch)
+        assert RunLedger.open(tmp_path / "run.ledger").is_complete
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"seed": SEED + 1}, {"scale": SCALE * 2}, {"shard_count": 2}, {"shard": 1},
+         {"shard": "0"}],
+        ids=["seed", "scale", "shard-count", "shard-out-of-range", "shard-string"],
+    )
+    def test_worker_refuses_an_assign_for_another_scan(self, override):
+        """The worker decodes each ``assign`` against its ``welcome``: a
+        descriptor that names another scan is a protocol error, never a
+        shard run under a re-derived config or a local crash reported as
+        a shard error."""
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        release = threading.Event()
+        held: list[socket.socket] = []
+
+        def fake_coordinator():
+            conn, _ = server.accept()
+            held.append(conn)
+            assert recv_message(conn)["type"] == "hello"
+            send_message(conn, {
+                "type": "welcome", "protocol": PROTOCOL_VERSION,
+                "config": config_to_wire(_config(shards=1)), "shard_count": 1,
+                "heartbeat_interval": 0.05,
+            })
+            assert recv_message(conn)["type"] == "ready"
+            send_message(conn, {
+                "type": "assign", "seed": SEED, "scale": SCALE, "shard": 0,
+                "shard_count": 1, **override,
+            })
+            release.wait(30.0)
+
+        thread = threading.Thread(target=fake_coordinator, daemon=True)
+        thread.start()
+        try:
+            worker = ClusterWorker(server.getsockname()[:2], name="strict")
+            with pytest.raises(ProtocolError, match="assign frame"):
+                worker.run()
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+            for conn in held:
+                conn.close()
+            server.close()

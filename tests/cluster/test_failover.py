@@ -18,6 +18,7 @@ import signal
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,8 @@ from tests.fingerprint import fingerprint
 SCALE = 0.005
 SEED = 7
 SHARDS = 4
+#: the same scan's ledger as the last compacting build left it
+COMPACTED_V2 = Path(__file__).parents[1] / "runtime" / "data" / "compacted-v2.ledger"
 #: per-task stall in workers, slow enough to catch a scan mid-flight.
 DELAY = 0.01
 
@@ -56,7 +59,7 @@ def _dead_address() -> tuple[str, int]:
 
 
 def _journaled_shards(path) -> int:
-    """Intact journaled shards (snapshot prefix + tail; torn tail ignored)."""
+    """Intact journaled shard records (torn tail ignored)."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
@@ -69,8 +72,6 @@ def _journaled_shards(path) -> int:
             break
         if record.get("kind") == "shard":
             count += 1
-        elif record.get("kind") == "snapshot":
-            count += record.get("shards", 0)
     return count
 
 
@@ -225,16 +226,13 @@ class TestAdoption:
             assert standby.stats.local_fallback_shards == 2
         assert fingerprint(result) == fingerprint(cold_result)
 
-    def test_adoption_of_compacted_journal(self, tmp_path, cold_result, outcomes):
-        """Adoption works when the dead primary had compacted: the
-        snapshot prefix seeds completion membership without per-shard
-        payloads, and the ledger merge restores full identity."""
+    def test_adoption_of_compacted_journal(self, tmp_path, cold_result):
+        """Adoption works when the dead primary ran a build that
+        compacted: the snapshot record of shards 0-1 and the record of
+        shard 2 seed completion, and the ledger merge restores full
+        identity."""
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, _config(), SHARDS)
-        for outcome in outcomes[:3]:
-            ledger.record(outcome)
-        assert ledger.compact() is True
-        ledger.close()
+        path.write_bytes(COMPACTED_V2.read_bytes())
 
         standby = StandbyCoordinator(
             _config(),

@@ -69,30 +69,6 @@ class TestClusterSubcommand:
             cluster.render_local(scale=0.005, shards=4)
 
 
-class TestCompactEvery:
-    def test_scan_compacts_and_resumes(self, tmp_path, capsys):
-        from repro.runtime import RunLedger
-        from repro.workload.generator import WildScanConfig
-
-        path = str(tmp_path / "run.ledger")
-        args = ["scan", "--scale", "0.005", "--shards", "4", "--ledger", path]
-        assert main([*args, "--compact-every", "2"]) == 0
-        first = capsys.readouterr().out
-        assert "4 freshly executed" in first
-
-        replay = RunLedger.open(
-            path, config=WildScanConfig(scale=0.005, seed=7, shards=4),
-            shard_count=4,
-        )
-        assert replay.snapshot_shards == 4  # fully folded journal
-        replay.close()
-
-        assert main(["scan", "--scale", "0.005", "--shards", "4",
-                     "--resume", path]) == 0
-        second = capsys.readouterr().out
-        assert "4 shard(s) resumed" in second
-
-
 class TestStandbyCLI:
     def test_standby_adopts_a_complete_journal(self, tmp_path, capsys):
         """End-to-end --standby: the primary address is already dead and

@@ -7,10 +7,11 @@ digests every field of every report a population yields, with all six
 registry plugins enabled and both schedule tails (adversarial families
 and split attacks) on.
 
-Plugins iterate sets of tokens, so the order of a report's matches can
-follow ``PYTHONHASHSEED``. The digest sorts each report's encoded
-matches, and the pin is checked in two interpreters with different hash
-seeds.
+Plugins walk tokens in first-seen trade order, so the order of a
+report's matches does not follow ``PYTHONHASHSEED``
+(``tests/leishen/test_registry.py::TestMatchOrder`` pins that). The
+digest still sorts each report's encoded matches, and the pin is still
+checked in two interpreters with different hash seeds.
 """
 
 from __future__ import annotations

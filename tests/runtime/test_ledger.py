@@ -3,13 +3,17 @@
 The file-level contract: a header binds the journal to one scan identity,
 every record is one shard's lossless wire payload, a torn trailing line
 (the signature of a kill mid-append) is tolerated, and every other
-malformation refuses loudly instead of risking a wrong merge.
+malformation refuses loudly at open instead of risking a wrong merge.
+Ledgers holding the snapshot record earlier builds' compaction wrote
+still open, resume and merge byte-identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,14 @@ from tests.fingerprint import fingerprint
 
 SCALE = 0.005
 SEED = 7
+#: a v2 ledger written by the last build that compacted: the scan of the
+#: ``config`` fixture, compacted after shards 0 and 1, then shard 2.
+COMPACTED_V2 = Path(__file__).parent / "data" / "compacted-v2.ledger"
+#: sha256 of the ledger file a cold ``ScanEngine`` run of the ``config``
+#: fixture writes: the journal's bytes, not just its config digest.
+PINNED_JOURNAL_SHA256 = (
+    "4801293179c58fe5cb797a28ddb20d817edbab800707f1573c353f9a00af94dd"
+)
 
 
 @pytest.fixture()
@@ -42,6 +54,38 @@ def outcomes():
     count = resolve_shard_count(cfg.shards, len(tasks))
     parts = shard_schedule(tasks, count)
     return [run_shard((cfg, i, count, part)) for i, part in enumerate(parts)]
+
+
+def write_compacted(path, config, outcomes, folded: int, tail=()) -> None:
+    """Write a ledger as earlier builds' compaction left it: the header,
+    one snapshot record folding ``outcomes[:folded]`` in shard order, then
+    one shard record per outcome in ``tail``."""
+    ledger = RunLedger.create(path, config, 4)
+    ledger.close()
+    merged = {"v": WIRE_VERSION, "total_transactions": 0, "detections": [],
+              "row_counts": {}}
+    for outcome in outcomes[:folded]:
+        payload = shard_result_to_wire(outcome)
+        merged["total_transactions"] += payload["total_transactions"]
+        merged["detections"].extend(payload["detections"])
+        for name, counts in payload["row_counts"].items():
+            row = merged["row_counts"].setdefault(name, [0, 0, 0])
+            for column in range(3):
+                row[column] += counts[column]
+    lines = [json.dumps({"kind": "snapshot", "shards": folded, "generation": 1,
+                         "merged": merged})]
+    lines += [
+        json.dumps({"kind": "shard", "shard": outcome.shard_index,
+                    "payload": shard_result_to_wire(outcome)})
+        for outcome in tail
+    ]
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def append_record(path, shard: int, payload) -> None:
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"kind": "shard", "shard": shard, "payload": payload}) + "\n")
 
 
 class TestCreateOpen:
@@ -69,7 +113,7 @@ class TestCreateOpen:
         for outcome in outcomes[:2]:
             assert ledger.record(outcome) is True
         reopened = RunLedger.open(path, config=config, shard_count=4)
-        assert sorted(reopened.completed_payloads) == [0, 1]
+        assert sorted(reopened.completed_shards()) == [0, 1]
         assert reopened.resumed_count == 2
         assert reopened.remaining() == [2, 3]
         assert not reopened.is_complete
@@ -218,7 +262,7 @@ class TestDurabilityAndCorruption:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "shard", "shard": 2, "payl')  # kill signature
         reopened = RunLedger.open(path, config=config, shard_count=4)
-        assert sorted(reopened.completed_payloads) == [0, 1]
+        assert sorted(reopened.completed_shards()) == [0, 1]
 
     def test_torn_tail_truncated_so_appends_stay_parseable(
         self, tmp_path, config, outcomes
@@ -237,7 +281,7 @@ class TestDurabilityAndCorruption:
             resumed.record(outcome)
         resumed.close()
         replay = RunLedger.open(path, config=config, shard_count=4)
-        assert sorted(replay.completed_payloads) == [0, 1, 2, 3]
+        assert sorted(replay.completed_shards()) == [0, 1, 2, 3]
         assert replay.is_complete
 
     def test_corrupt_interior_record_raises(self, tmp_path, config, outcomes):
@@ -278,7 +322,7 @@ class TestDurabilityAndCorruption:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")  # replayed append after a crash
         reopened = RunLedger.open(path, config=config, shard_count=4)
-        assert sorted(reopened.completed_payloads) == [0]
+        assert sorted(reopened.completed_shards()) == [0]
 
     def test_divergent_duplicate_records_raise(self, tmp_path, config, outcomes):
         path = tmp_path / "run.ledger"
@@ -311,7 +355,7 @@ class TestTornTailByteAccounting:
         with open(path, "ab") as handle:
             handle.write(b'{"kind": "shard", "shard": 2, "pay\rl')
         resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert sorted(resumed.completed_payloads) == [0, 1]
+        assert sorted(resumed.completed_shards()) == [0, 1]
         assert path.read_bytes().endswith(b"}\n")  # whole tear cut away
         for outcome in outcomes[2:]:
             resumed.record(outcome)
@@ -345,7 +389,7 @@ class TestTornTailByteAccounting:
         with open(path, "ab") as handle:
             handle.write(b'{"kind": "shard", "shard": 2, "payl\n\n')
         resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert sorted(resumed.completed_payloads) == [0]
+        assert sorted(resumed.completed_shards()) == [0]
         for outcome in outcomes[1:]:
             resumed.record(outcome)
         resumed.close()
@@ -378,7 +422,7 @@ class TestTornTailByteAccounting:
         with open(path, "ab") as handle:
             handle.write(b'{"kind": "shard", "shard": 2, "p\xff\xfe')
         resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert sorted(resumed.completed_payloads) == [0]
+        assert sorted(resumed.completed_shards()) == [0]
 
 
 class TestDirectoryFsync:
@@ -393,62 +437,18 @@ class TestDirectoryFsync:
         RunLedger.create(path, config, 4)
         assert synced == [path.parent]
 
-    def test_compaction_rename_fsyncs_parent_directory(
-        self, tmp_path, config, outcomes, monkeypatch
-    ):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        synced = []
-        monkeypatch.setattr(
-            RunLedger, "_fsync_dir", staticmethod(lambda d: synced.append(d))
-        )
-        assert ledger.compact() is True
-        assert synced == [path.parent]
-
 
 class TestCompaction:
-    def test_compact_folds_prefix_and_rotates(self, tmp_path, config, outcomes):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:2]:
-            ledger.record(outcome)
-        assert ledger.compact() is True
-        assert ledger.snapshot_shards == 2
-        assert ledger.generation == 1
-        assert ledger.compactions == 1
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[0])["kind"] == "header"
-        snapshot = json.loads(lines[1])
-        assert snapshot["kind"] == "snapshot"
-        assert snapshot["shards"] == 2
-        assert snapshot["generation"] == 1
-        assert len(lines) == 2  # no tail yet: two shards became one record
-        assert not list(tmp_path.glob("run.ledger.*"))  # rotation renamed
-
-    def test_compact_with_no_contiguous_prefix_is_noop(
-        self, tmp_path, config, outcomes
-    ):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[1])  # shard 1: shard 0 still missing
-        before = path.read_bytes()
-        assert ledger.compact() is False
-        assert path.read_bytes() == before
+    """Ledgers that earlier builds compacted: a snapshot record folds the
+    journaled prefix. This build never writes one, but reads it."""
 
     def test_compacted_ledger_reopens_with_prefix_accounted(
         self, tmp_path, config, outcomes
     ):
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:3]:
-            ledger.record(outcome)
-        ledger.compact()
-        ledger.close()
+        write_compacted(path, config, outcomes, folded=3)
         resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert resumed.snapshot_shards == 3
         assert resumed.completed_shards() == frozenset({0, 1, 2})
-        assert resumed.completed_payloads == {}  # prefix holds no payloads
         assert resumed.resumed_count == 3
         assert resumed.remaining() == [3]
         assert not resumed.is_complete
@@ -459,38 +459,13 @@ class TestCompaction:
         self, tmp_path, config, outcomes
     ):
         plain = RunLedger.create(tmp_path / "plain.ledger", config, 4)
-        compacted = RunLedger.create(tmp_path / "compacted.ledger", config, 4)
         for outcome in outcomes:
             plain.record(outcome)
-            compacted.record(outcome)
-            compacted.compact()  # fold after every record: worst case
-        assert compacted.generation == 4
-        assert fingerprint(compacted.merge()) == fingerprint(plain.merge())
-        # and the identity survives a reopen of the rotated file
-        compacted.close()
-        replay = RunLedger.open(
-            tmp_path / "compacted.ledger", config=config, shard_count=4
-        )
-        assert fingerprint(replay.merge()) == fingerprint(plain.merge())
-
-    def test_compact_extends_existing_snapshot(self, tmp_path, config, outcomes):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
-        # out-of-order completion: 2 journals while 1 is outstanding
-        ledger.record(outcomes[2])
-        assert ledger.compact() is False  # prefix can't extend past the gap
-        ledger.record(outcomes[1])
-        assert ledger.compact() is True
-        assert ledger.snapshot_shards == 3
-        assert ledger.generation == 2
-        ledger.record(outcomes[3])
-        from repro.engine.scan import merge_shard_results
-
-        assert fingerprint(ledger.merge()) == fingerprint(
-            merge_shard_results(config, outcomes)
-        )
+        for folded in range(1, 5):
+            path = tmp_path / f"compacted-{folded}.ledger"
+            write_compacted(path, config, outcomes, folded, tail=outcomes[folded:])
+            replay = RunLedger.open(path, config=config, shard_count=4)
+            assert fingerprint(replay.merge()) == fingerprint(plain.merge())
 
     def test_record_into_compacted_prefix_is_duplicate(
         self, tmp_path, config, outcomes
@@ -499,110 +474,32 @@ class TestCompaction:
         finishing after adoption) is suppressed as a duplicate — the
         individual payload is gone, the determinism contract stands in."""
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
+        write_compacted(path, config, outcomes, folded=1)
+        ledger = RunLedger.open(path, config=config, shard_count=4)
+        before = path.read_bytes()
         assert ledger.record(outcomes[0]) is False
         assert ledger.duplicates_ignored == 1
-
-    def test_compact_every_auto_compacts(self, tmp_path, config, outcomes):
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4, compact_every=2)
-        for outcome in outcomes:
-            ledger.record(outcome)
-        assert ledger.compactions == 2
-        assert ledger.snapshot_shards == 4
-        assert ledger.is_complete
-        from repro.engine.scan import merge_shard_results
-
-        assert fingerprint(ledger.merge()) == fingerprint(
-            merge_shard_results(config, outcomes)
-        )
-
-    def test_compact_every_validated(self, tmp_path, config):
-        with pytest.raises(ValueError, match="compact_every"):
-            RunLedger.create(tmp_path / "run.ledger", config, 4, compact_every=0)
+        assert path.read_bytes() == before
 
     def test_appends_after_compaction_land_in_rotated_file(
         self, tmp_path, config, outcomes
     ):
-        """compact() must rotate the append handle too: a record written
-        through a stale handle would land in the unlinked old inode and
-        silently vanish."""
+        """Records a resumed run appends to a compacted file land after
+        its snapshot and tail, and the next open reads all of them."""
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])  # opens the append handle
-        ledger.compact()
-        ledger.record(outcomes[1])
-        ledger.close()
+        write_compacted(path, config, outcomes, folded=1, tail=outcomes[2:3])
+        with RunLedger.open(path, config=config, shard_count=4) as ledger:
+            ledger.record(outcomes[1])
         replay = RunLedger.open(path, config=config, shard_count=4)
-        assert replay.completed_shards() == frozenset({0, 1})
+        assert replay.completed_shards() == frozenset({0, 1, 2})
 
 
 class TestCompactionCrashWindows:
-    def test_crash_between_write_and_rename_keeps_old_file(
-        self, tmp_path, config, outcomes, monkeypatch
-    ):
-        """Killed after writing ``<path>.N`` but before the rename: the
-        rotation never took effect, the old journal is intact, and the
-        leftover is cleared on the next open."""
-        import os as os_module
-
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:2]:
-            ledger.record(outcome)
-        before = path.read_bytes()
-
-        def crash(src, dst):
-            raise KeyboardInterrupt("kill between write and rename")
-
-        monkeypatch.setattr(os_module, "replace", crash)
-        with pytest.raises(KeyboardInterrupt):
-            ledger.compact()
-        monkeypatch.undo()
-        assert path.read_bytes() == before  # old file: every record intact
-        assert (tmp_path / "run.ledger.1").exists()  # orphaned rotation
-        resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert resumed.completed_shards() == frozenset({0, 1})
-        assert resumed.snapshot_shards == 0
-        assert not (tmp_path / "run.ledger.1").exists()  # swept on open
-
-    def test_crash_between_rename_and_dir_fsync_keeps_new_file(
-        self, tmp_path, config, outcomes, monkeypatch
-    ):
-        """Killed after the rename but before the directory fsync: the
-        new (compacted) file is what parses — never neither."""
-        path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        for outcome in outcomes[:2]:
-            ledger.record(outcome)
-
-        def crash(directory):
-            raise KeyboardInterrupt("kill between rename and dir fsync")
-
-        monkeypatch.setattr(RunLedger, "_fsync_dir", staticmethod(crash))
-        with pytest.raises(KeyboardInterrupt):
-            ledger.compact()
-        monkeypatch.undo()
-        resumed = RunLedger.open(path, config=config, shard_count=4)
-        assert resumed.snapshot_shards == 2
-        assert resumed.completed_shards() == frozenset({0, 1})
-        for outcome in outcomes[2:]:
-            resumed.record(outcome)
-        from repro.engine.scan import merge_shard_results
-
-        assert fingerprint(resumed.merge()) == fingerprint(
-            merge_shard_results(config, outcomes)
-        )
+    """A snapshot record is checked like any other line at open."""
 
     def test_snapshot_after_shard_records_raises(self, tmp_path, config, outcomes):
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
-        ledger.record(outcomes[1])  # a tail record after the snapshot
-        ledger.close()
+        write_compacted(path, config, outcomes, folded=1, tail=outcomes[1:2])
         lines = path.read_text().splitlines()
         doctored = [lines[0], lines[2], lines[1]]  # snapshot after a shard
         path.write_text("\n".join(doctored) + "\n")
@@ -611,16 +508,82 @@ class TestCompactionCrashWindows:
 
     def test_malformed_snapshot_raises(self, tmp_path, config, outcomes):
         path = tmp_path / "run.ledger"
-        ledger = RunLedger.create(path, config, 4)
-        ledger.record(outcomes[0])
-        ledger.compact()
-        ledger.close()
+        write_compacted(path, config, outcomes, folded=1)
         lines = path.read_text().splitlines()
         snapshot = json.loads(lines[1])
         snapshot["generation"] = 0
         path.write_text("\n".join([lines[0], json.dumps(snapshot)]) + "\n")
-        with pytest.raises(LedgerError, match="generation"):
+        with pytest.raises(LedgerError, match="line 2: .*generation"):
             RunLedger.open(path, config=config)
+        snapshot["generation"] = 1
+        snapshot["merged"]["detections"] = 3
+        path.write_text("\n".join([lines[0], json.dumps(snapshot)]) + "\n")
+        with pytest.raises(LedgerError, match="line 2: .*detections"):
+            RunLedger.open(path, config=config)
+
+
+class TestJournalBytes:
+    def test_pinned_scan_journal_bytes(self, tmp_path, config):
+        path = tmp_path / "run.ledger"
+        ScanEngine(config, ledger=path).run()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_JOURNAL_SHA256
+
+    def test_compacted_v2_ledger_resumes_to_cold_fingerprint(self, tmp_path, config):
+        """The file the last compacting build wrote: it opens with shards
+        0-2 done, resumes shard 3 and merges to the cold run's bytes."""
+        path = tmp_path / "run.ledger"
+        path.write_bytes(COMPACTED_V2.read_bytes())
+        engine = ScanEngine(config, ledger=path)
+        resumed = engine.run()
+        assert (engine.ledger.resumed_count, engine.ledger.recorded_count) == (3, 1)
+        assert fingerprint(resumed) == fingerprint(ScanEngine(config).run())
+        replay = RunLedger.open(path, config=config, shard_count=4)
+        assert fingerprint(replay.merge()) == fingerprint(resumed)
+
+
+class TestDecodeAtOpen:
+    """Every record is decoded at open: a payload that would have failed
+    the merge later is a :class:`LedgerError` naming its line now."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("detections", 3, "detections must be a list"),
+            ("row_counts", [], "row_counts must be an object"),
+            ("shard_index", 5, "shard_index=5 is not shard 0"),
+            ("shard_index", "zero", "shard_index must be an int"),
+            ("total_transactions", None, "total_transactions must be an int"),
+            ("row_counts", {"FOO": [1, 0, 1]}, "not a map of pattern key"),
+            ("row_counts", {"SANDWICH": [1, 0, 1]}, "does not enable"),
+            ("row_counts", {"KRP": [1, True, 1]}, "not a map of pattern key"),
+        ],
+    )
+    def test_undecodable_payload_fails_open(
+        self, tmp_path, config, outcomes, field, value, message
+    ):
+        path = tmp_path / "run.ledger"
+        RunLedger.create(path, config, 4).close()
+        append_record(path, 0, {**shard_result_to_wire(outcomes[0]), field: value})
+        with pytest.raises(LedgerError, match=f"line 2: .*{message}"):
+            RunLedger.open(path, config=config)
+
+    def test_undecodable_detection_fails_open(self, tmp_path, config, outcomes):
+        path = tmp_path / "run.ledger"
+        RunLedger.create(path, config, 4).close()
+        payload = shard_result_to_wire(outcomes[0])
+        assert payload["detections"], "the fixture shard detects something"
+        payload["detections"][0]["truth"]["attacker"] = "0xnot-an-address"
+        append_record(path, 0, payload)
+        with pytest.raises(LedgerError, match="line 2: ground truth: attacker"):
+            RunLedger.open(path, config=config)
+
+    def test_profile_sidecar_is_not_a_divergent_duplicate(
+        self, tmp_path, config, outcomes
+    ):
+        ledger = RunLedger.create(tmp_path / "run.ledger", config, 4)
+        assert ledger.record(replace(outcomes[0], profile={"timers_ns": {"a": 1}}))
+        assert not ledger.record(replace(outcomes[0], profile={"timers_ns": {"a": 2}}))
+        assert ledger.duplicates_ignored == 1
 
 
 class TestRecording:
@@ -634,15 +597,16 @@ class TestRecording:
     def test_record_divergent_payload_raises(self, tmp_path, config, outcomes):
         ledger = RunLedger.create(tmp_path / "run.ledger", config, 4)
         ledger.record(outcomes[0])
-        payload = dict(shard_result_to_wire(outcomes[0]))
-        payload["total_transactions"] += 1
+        divergent = replace(
+            outcomes[0], total_transactions=outcomes[0].total_transactions + 1
+        )
         with pytest.raises(LedgerError, match="divergent result"):
-            ledger.record_payload(0, payload)
+            ledger.record(divergent)
 
     def test_record_out_of_range_shard_raises(self, tmp_path, config, outcomes):
         ledger = RunLedger.create(tmp_path / "run.ledger", config, 4)
         with pytest.raises(LedgerError, match="outside"):
-            ledger.record_payload(4, shard_result_to_wire(outcomes[0]))
+            ledger.record(replace(outcomes[0], shard_index=4))
 
     def test_merge_requires_completeness(self, tmp_path, config, outcomes):
         ledger = RunLedger.create(tmp_path / "run.ledger", config, 4)

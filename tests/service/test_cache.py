@@ -1,4 +1,4 @@
-"""TTL + LRU semantics of the service's warm-entity cache."""
+"""TTL + LRU semantics of the service's results cache."""
 
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ def test_put_get_roundtrip():
     assert cache.get("a") == 1
     assert cache.get("missing") is None
     assert cache.get("missing", "fallback") == "fallback"
-    assert "a" in cache and "missing" not in cache
-    assert len(cache) == 1
+    assert cache.stats()["entries"] == 1
 
 
 def test_lru_eviction_order():
@@ -71,26 +70,6 @@ def test_put_resets_deadline():
     cache.put("a", 2)
     clock.advance(6.0)
     assert cache.get("a") == 2
-
-
-def test_purge_counts_expired_only():
-    clock = FakeClock()
-    cache = TTLCache(4, ttl=5.0, clock=clock)
-    cache.put("old", 1)
-    clock.advance(6.0)
-    cache.put("fresh", 2)
-    assert cache.purge() == 1
-    assert cache.keys() == ["fresh"]
-
-
-def test_pop_and_clear():
-    cache = TTLCache(4)
-    cache.put("a", 1)
-    assert cache.pop("a") == 1
-    assert cache.pop("a", "gone") == "gone"
-    cache.put("b", 2)
-    cache.clear()
-    assert len(cache) == 0
 
 
 def test_validation():
@@ -137,66 +116,4 @@ def test_concurrent_mutation_is_safe():
     for thread in threads:
         thread.join()
     assert not errors
-    assert len(cache) <= 8
-
-
-def test_pop_accounting_matches_get():
-    """``hits + misses == lookups`` must hold across get *and* pop.
-
-    Regression: ``pop`` used to bypass the counters entirely, so a
-    pop-heavy caller read a hit rate computed over a fraction of its
-    actual lookups.
-    """
-    clock = FakeClock()
-    cache = TTLCache(4, ttl=10.0, clock=clock)
-    cache.put("live", 1)
-    cache.put("stale", 2)
-
-    assert cache.pop("live") == 1          # live pop: a hit
-    assert cache.pop("absent") is None     # absent pop: a miss
-    clock.advance(11.0)
-    assert cache.pop("stale", "d") == "d"  # expired pop: expiration + miss
-    assert cache.get("also-absent") is None
-
-    stats = cache.stats()
-    assert stats["hits"] == 1
-    assert stats["misses"] == 3
-    assert stats["expirations"] == 1
-    assert stats["hits"] + stats["misses"] == 4  # one per lookup above
-
-
-def test_contains_is_a_pure_read():
-    """``in`` never mutates the store nor any counter.
-
-    Regression: ``__contains__`` used to delete expired entries and bump
-    the expiration counter, so a membership probe raced concurrent
-    ``get`` calls and double-counted expirations.
-    """
-    clock = FakeClock()
-    cache = TTLCache(4, ttl=10.0, clock=clock)
-    cache.put("a", 1)
-    before = cache.stats()
-
-    assert "a" in cache
-    assert "missing" not in cache
-    clock.advance(11.0)
-    assert "a" not in cache      # expired reads as absent...
-    assert len(cache) == 1       # ...but stays resident: no mutation
-    assert cache.stats() == {**before, "entries": 1}
-
-    # the entry is still reaped by the mutating paths, exactly once.
-    assert cache.get("a") is None
-    stats = cache.stats()
-    assert stats["expirations"] == 1
-    assert len(cache) == 0
-
-
-def test_expired_entry_counted_once_across_probe_then_get():
-    clock = FakeClock()
-    cache = TTLCache(4, ttl=5.0, clock=clock)
-    cache.put("k", 1)
-    clock.advance(6.0)
-    for _ in range(3):
-        assert "k" not in cache  # probes must not stack expirations
-    assert cache.pop("k") is None
-    assert cache.stats()["expirations"] == 1
+    assert cache.stats()["entries"] <= 8

@@ -89,3 +89,21 @@ def test_save_is_atomic_no_tmp_left_behind(tmp_path):
         if p.name.endswith(".tmp")
     ]
     assert not leftovers
+
+
+def test_mistyped_manifest_is_refused(tmp_path):
+    """A manifest whose ``submitted_at`` is a string used to load and
+    break every later ``runs()`` sort; it is refused, and skipped."""
+    from repro.service import ScanService
+
+    registry = RunRegistry(tmp_path)
+    kept = registry.create(WildScanConfig(scale=0.01, seed=7, shards=2))
+    broken = registry.create(WildScanConfig(scale=0.01, seed=8, shards=2))
+    path = registry.manifest_path(broken.run_id)
+    payload = json.loads(path.read_text())
+    with pytest.raises(ValueError, match="submitted_at must be a number"):
+        RunRecord.from_dict({**payload, "submitted_at": "x"})
+    path.write_text(json.dumps({**payload, "submitted_at": "x"}))
+    assert list(registry.load_all()) == [kept.run_id]
+    with ScanService(tmp_path) as service:
+        assert [view["run_id"] for view in service.runs()] == [kept.run_id]

@@ -336,3 +336,44 @@ def test_fetch_detections_terminates_on_none(served):
             detection_from_wire(d)
             for d in client.results(run["run_id"])["detections"]
         ]
+
+
+WIRE = config_to_wire(CONFIG)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"type": "results", "run_id": "run-x", "limit": {}},
+        {"type": "results", "run_id": "run-x", "offset": -1},
+        {"type": "submit", "config": WIRE, "jobs": [1]},
+        {"type": "submit", "config": WIRE, "jobs": 1.7},
+        {"type": "submit", "config": WIRE, "jobs": 0},
+        {"type": "wait", "run_id": "run-x", "timeout": []},
+        {"type": "wait", "run_id": "run-x", "timeout": float("nan")},
+        {"type": "drain", "timeout": float("inf")},
+        {"type": "status", "run_id": ""},
+        {"type": "status", "run_id": "run-x", "surprise": 1},
+        {"type": "submit", "config": {**WIRE, "scale": "big"}},
+        {"type": "submit", "config": {**WIRE, "split_attacks": True}},
+        {"type": "submit", "config": {**WIRE, "with_heuristic": "yes"}},
+        {"type": ["ping"]},
+    ],
+    ids=[
+        "limit-object", "offset-negative", "jobs-list", "jobs-float", "jobs-zero",
+        "timeout-list", "timeout-nan", "drain-inf", "run-id-empty", "unknown-key",
+        "scale-string", "split-attacks-bool", "heuristic-string", "type-list",
+    ],
+)
+def test_malformed_request_is_a_bad_request(served, tmp_path, fields):
+    """A well-framed request that fails its field table — or whose config
+    does not decode — is answered with ``bad-request``; the connection
+    keeps serving and no run is created."""
+    _, server = served
+    with socket.create_connection(server.address, timeout=10) as sock:
+        send_message(sock, {"protocol_version": SERVICE_PROTOCOL_VERSION, **fields})
+        response = recv_message(sock)
+        assert (response["ok"], response["kind"]) == (False, "bad-request")
+        send_message(sock, {"type": "ping", "protocol_version": SERVICE_PROTOCOL_VERSION})
+        assert recv_message(sock)["ok"] is True
+    assert list((tmp_path / "runs").iterdir()) == []

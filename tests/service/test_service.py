@@ -489,3 +489,32 @@ def test_wait_without_timeout_returns_immediately_when_done(tmp_path):
         service.wait(view["run_id"], timeout=120)
         done = service.wait(view["run_id"])  # already terminal: no block
         assert done["state"] == "completed"
+
+
+def test_undecodable_ledger_is_a_ledger_error(tmp_path):
+    """A journaled payload that does not decode fails at ledger open: a
+    results fetch raises ``LedgerError``, and a restart that re-checks the
+    ledger (the manifest was left ``running``) fails the run instead of
+    crashing ``start()``."""
+    from repro.runtime import LedgerError
+
+    with ScanService(tmp_path) as first:
+        run_id = first.submit(CONFIG)[0]["run_id"]
+        first.wait(run_id, timeout=120)
+    ledger_path = first.registry.ledger_path(run_id)
+    lines = ledger_path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["payload"]["detections"] = 3
+    ledger_path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+
+    with ScanService(tmp_path) as second:
+        with pytest.raises(LedgerError, match="line 2: shard result: detections"):
+            second.results(run_id)
+
+    manifest = first.registry.load(run_id)
+    manifest.state = "running"
+    first.registry.save(manifest)
+    with ScanService(tmp_path) as third:
+        view = third.status(run_id)
+        assert view["state"] == "failed"
+        assert "line 2: shard result: detections" in view["error"]
