@@ -20,7 +20,8 @@ from __future__ import annotations
 import sys
 
 from repro.cluster import ClusterWorker, WorkerKilled, run_cluster_scan
-from repro.workload.generator import WildScanConfig, WildScanner
+from repro.engine import ScanEngine
+from repro.workload.generator import WildScanConfig
 
 
 def main() -> None:
@@ -66,7 +67,7 @@ def main() -> None:
         f"{stats.workers_excluded} exclusion(s), {stats.requeues} shard requeue(s)"
     )
 
-    batch = WildScanner(config).run()
+    batch = ScanEngine(config).run()
     identical = [d.tx_hash for d in batch.detections] == [
         d.tx_hash for d in result.detections
     ]

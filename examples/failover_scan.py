@@ -10,8 +10,8 @@ addresses. Mid-scan the primary is shut down abruptly — no handoff, no
 goodbye, exactly what a SIGKILL looks like from the outside. The
 standby's liveness probe notices, adopts the shared run ledger (every
 shard the primary journaled before dying replays from disk), and serves
-the remainder on its own socket; the workers' reconnect loops rotate to
-the standby address on their own. The merged result is byte-identical
+the remainder on its own socket; the workers, which lost their
+coordinator mid-scan, fail over to the standby address on their own. The merged result is byte-identical
 to an uninterrupted in-process run — the journal makes that a
 structural property, not a recovery heuristic.
 """
@@ -62,29 +62,30 @@ def main() -> None:
         # two workers, each carrying BOTH addresses in its connect list.
         addresses = [primary.address, standby.address]
 
-        def run_worker(index: int) -> None:
-            def hook(worker, shard, number):
-                time.sleep(0.002)  # slow tasks so the kill lands mid-scan
-
-            while True:
-                summary = ClusterWorker(
-                    addresses, name=f"worker-{index}", task_hook=hook
-                ).run()
-                if summary.shards_completed or summary.killed:
-                    return
-                time.sleep(0.05)  # both ends were between phases; retry
+        def hook(worker, shard, number):
+            time.sleep(0.002)  # slow tasks so the kill lands mid-scan
 
         threads = [
-            threading.Thread(target=run_worker, args=(i,), daemon=True)
-            for i in range(2)
+            threading.Thread(
+                target=ClusterWorker(
+                    addresses, name=f"worker-{index}", task_hook=hook
+                ).run,
+                daemon=True,
+            )
+            for index in range(2)
         ]
         for thread in threads:
             thread.start()
 
-        # wait for the primary to journal at least one shard, then kill it.
-        while len(RunLedger.open(path).completed_shards()) < 1:
+        # kill the primary once it has journaled a shard while every
+        # worker is mid-shard: a worker asking for work while the primary
+        # shuts down is drained, and a drain ends a worker.
+        while True:
+            snapshot = primary.capacity_snapshot()
+            if snapshot.completed >= 1 and snapshot.running == len(threads):
+                break
             time.sleep(0.01)
-        journaled = len(RunLedger.open(path).completed_shards())
+        journaled = snapshot.completed
         primary.shutdown()
         print(f"primary killed with {journaled} shard(s) journaled")
 

@@ -16,7 +16,8 @@ import sys
 import time
 
 from repro.experiments import fig8, table5, table6, table7
-from repro.workload import WildScanConfig, WildScanner
+from repro.engine import ScanEngine
+from repro.workload import WildScanConfig
 
 
 def main() -> None:
@@ -25,7 +26,7 @@ def main() -> None:
     print(f"generating and scanning a scale-{scale} flash loan population "
           f"(jobs={jobs})...")
     start = time.perf_counter()
-    result = WildScanner(WildScanConfig(scale=scale, seed=7, jobs=jobs)).run()
+    result = ScanEngine(WildScanConfig(scale=scale, seed=7, jobs=jobs)).run()
     elapsed = time.perf_counter() - start
     print(f"scanned {result.total_transactions:,} transactions in {elapsed:.1f}s\n")
 
@@ -38,7 +39,7 @@ def main() -> None:
     print(fig8.render(result))
 
     print("\nwith the yield-aggregator heuristic (paper Sec. VI-C):")
-    heuristic_result = WildScanner(
+    heuristic_result = ScanEngine(
         WildScanConfig(scale=scale, seed=7, with_heuristic=True, jobs=jobs)
     ).run()
     mbs = heuristic_result.rows["MBS"]

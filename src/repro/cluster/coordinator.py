@@ -247,18 +247,10 @@ class Coordinator:
         self._cond = threading.Condition(self._lock)
         #: shards done, journaled ones included; each completes once.
         self._completed: set[int] = set(done)
-        #: the checked results this process completed; a journaled run
+        #: the checked results this process completed, each with its
+        #: stage-profile sidecar when ``config.profile``; a journaled run
         #: merges from its ledger instead.
         self._outcomes: list[ShardResult] = []
-        #: per-shard profile payloads reported by workers/fallback when
-        #: ``config.profile``; merged into :attr:`profile` after ``run``.
-        #: Kept out of ``_completed`` (and therefore the ledger journal):
-        #: profiles are observability, never part of result identity.
-        self._profiles: dict[int, dict] = {}
-        #: merged per-stage profile after a ``config.profile`` run
-        #: (``None`` otherwise; ledger-resumed shards carry no profile,
-        #: which ``counters["shards_profiled"]`` makes visible).
-        self.profile = None
         self.stats.resumed_shards = len(done)
         self._pending: deque[int] = deque(
             index for index in range(self.shard_count) if index not in self._completed
@@ -365,11 +357,9 @@ class Coordinator:
         if getattr(self.config, "profile", False):
             from ..runtime.profile import merge_profiles
 
-            with self._lock:
-                self.profile = merge_profiles(
-                    [self._profiles[i] for i in sorted(self._profiles)]
-                )
-                self.stats.profile = self.profile
+            # ledger-resumed shards carry no profile, which
+            # ``counters["shards_profiled"]`` makes visible.
+            self.stats.profile = merge_profiles([o.profile for o in outcomes])
         return finish_shards(self.config, self.ledger, outcomes)
 
     def _no_capacity_locked(self) -> bool:
@@ -408,8 +398,6 @@ class Coordinator:
                     else:
                         self._complete_locked(outcome)
                         self.stats.local_fallback_shards += 1
-                        if outcome.profile is not None:
-                            self._profiles[index] = outcome.profile
                     self._cond.notify_all()
         finally:
             self._cond.acquire()
@@ -594,7 +582,7 @@ class Coordinator:
                     if not self._handle_ready(conn, worker):
                         break
                 elif kind == "result":
-                    self._handle_result(worker, *self._decode_result(message))
+                    self._handle_result(worker, self._decode_result(message))
                 elif kind == "shard-error":
                     frame = check_frame(message, self._frames["shard-error"])
                     self._handle_shard_error(worker, frame["shard"])
@@ -676,10 +664,11 @@ class Coordinator:
             send_message(conn, assignment)
             return True
 
-    def _decode_result(self, message: dict) -> tuple[int, ShardResult, dict | None]:
-        """``(shard, result, profile)`` of a ``result`` frame, checked
-        against this run's shard count and enabled patterns; raises
-        :class:`ProtocolError` when it does not decode."""
+    def _decode_result(self, message: dict) -> ShardResult:
+        """The shard result of a ``result`` frame, checked against this
+        run's shard count and enabled patterns, with the frame's
+        stage-profile sidecar; raises :class:`ProtocolError` when it
+        does not decode."""
         frame = check_frame(message, self._frames["result"])
         shard = frame["shard"]
         try:
@@ -689,11 +678,11 @@ class Coordinator:
             )
         except ValueError as exc:
             raise ProtocolError(f"result frame for shard {shard}: {exc}") from None
-        return shard, result, frame.get("profile")
+        result.profile = frame.get("profile")
+        return result
 
-    def _handle_result(
-        self, worker: _WorkerState, shard: int, result: ShardResult, profile
-    ) -> None:
+    def _handle_result(self, worker: _WorkerState, result: ShardResult) -> None:
+        shard = result.shard_index
         with self._cond:
             worker.shards.discard(shard)
             if worker.probation:
@@ -706,8 +695,6 @@ class Coordinator:
             else:
                 self._complete_locked(result)
                 worker.completed += 1
-                if profile is not None:
-                    self._profiles[shard] = profile
             self._cond.notify_all()
 
     def _handle_shard_error(self, worker: _WorkerState, shard: int) -> None:

@@ -34,7 +34,11 @@ sessions succeed, and rotates to the next — a hot-standby coordinator —
 when a connect fails or a session ends in a disconnect. The ``welcome``
 may carry further ``failover`` addresses, which are merged into the
 list, so a fleet launched with only the primary's address still fails
-over to a standby the primary knew about.
+over to a standby the primary knew about. A worker holding more than
+one address fails over even without ``reconnect``: losing its
+coordinator mid-session moves it to the next address (same backoff and
+``reconnect_tries`` bound) until a drain, or until every address refuses
+(a standby binds its address up front, so a refusing standby is gone).
 
 Shard failures are reported as ``shard-error`` and the worker keeps
 serving; an abrupt death can be simulated through ``task_hook`` raising
@@ -199,13 +203,19 @@ class ClusterWorker:
 
         Without ``reconnect``, one session: connection-establishment
         errors propagate, and a mid-session disconnect sets
-        ``summary.disconnected``. With ``reconnect``, sessions repeat
-        with exponential backoff until :meth:`stop`, a kill, or
-        ``reconnect_tries`` consecutive sessions without any work.
+        ``summary.disconnected`` — unless the worker holds more than one
+        address: a coordinator lost mid-session then fails over to the
+        next address, with the same backoff and ``reconnect_tries``
+        bound as a reconnecting worker, until a session ends in a drain
+        or every address refuses to connect. With ``reconnect``,
+        sessions repeat with exponential backoff until :meth:`stop`, a
+        kill, or ``reconnect_tries`` consecutive sessions without any
+        work.
         """
         summary = WorkerSummary(name=self.name)
         delay = self.reconnect_backoff
         fruitless = 0
+        failing_over = False
         while True:
             progress_before = (
                 summary.shards_completed
@@ -216,6 +226,8 @@ class ClusterWorker:
                 sock = self._connect(summary)
             except OSError:
                 if not self.reconnect:
+                    if failing_over:
+                        break  # every address refuses: no coordinator is left
                     raise
                 summary.disconnected = True
             else:
@@ -232,7 +244,8 @@ class ClusterWorker:
                     if len(self.addresses) > 1:
                         self._cursor = (self._cursor + 1) % len(self.addresses)
                         summary.failovers += 1
-            if not self.reconnect or self._halt.is_set():
+            failing_over = summary.disconnected and len(self.addresses) > 1
+            if not (self.reconnect or failing_over) or self._halt.is_set():
                 break
             progressed = (
                 summary.shards_completed

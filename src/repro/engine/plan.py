@@ -81,10 +81,9 @@ def population_size(scale: float) -> int:
 def build_schedule(scale: float, seed: int) -> list[Task]:
     """The canonical seeded schedule: attacks + FP sources + benign mix.
 
-    Mirrors the composition arithmetic of the original sequential
-    ``WildScanner._schedule`` exactly (same counts, same RNG draw order,
-    same shuffle), but emits pure-data descriptors instead of closures
-    bound to a live market.
+    Counts, RNG draw order and shuffle are part of every result's
+    identity; the tasks are pure-data descriptors, not closures bound
+    to a live market.
     """
     rng = random.Random(seed)
     tasks: list[Task] = [

@@ -1,17 +1,5 @@
-"""Experiment harness: one module per paper table/figure, plus ablations."""
+"""Experiment harness: one module per paper table/figure, plus ablations.
 
-from . import ablations, fig1, fig8, perf, table1, table4, table5, table6, table7
-from .runner import main
-
-__all__ = [
-    "ablations",
-    "fig1",
-    "fig8",
-    "main",
-    "perf",
-    "table1",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-]
+The CLI is :mod:`repro.experiments.runner`; it imports a subcommand's
+module only when that subcommand runs, and so does this package.
+"""

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import ScanEngine
 from ..leishen.detector import LeiShen, LeiShenConfig
 from ..leishen.registry import PatternSettings
 from ..leishen.simplify import SimplifierConfig
 from ..study.catalog import FLP_ATTACKS
 from ..study.scenarios import SCENARIO_BUILDERS, ScenarioOutcome
-from ..workload.generator import WildScanConfig, WildScanner
+from ..workload.generator import WildScanConfig
 
 __all__ = ["AblationRow", "run_pipeline_ablation", "run_threshold_sweep", "render"]
 
@@ -94,7 +95,7 @@ def run_threshold_sweep(scale: float = 0.02, seed: int = 7) -> list[tuple[str, i
     ]
     results = []
     for name, pattern_config in sweeps:
-        result = WildScanner(
+        result = ScanEngine(
             WildScanConfig(scale=scale, seed=seed, pattern_config=pattern_config)
         ).run()
         results.append(

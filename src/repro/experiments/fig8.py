@@ -4,24 +4,11 @@ from __future__ import annotations
 
 from ..workload.generator import WildScanResult
 from ..workload.timeline import month_label, monthly_attack_weights
-from .table5 import run as run_scan
 
-__all__ = ["run", "render"]
-
-
-def run(
-    scale: float = 0.1, seed: int = 7, jobs: int = 1, shards: int | None = None
-) -> WildScanResult:
-    return run_scan(scale=scale, seed=seed, jobs=jobs, shards=shards)
+__all__ = ["render"]
 
 
-def render(
-    result: WildScanResult | None = None,
-    scale: float = 0.1,
-    jobs: int = 1,
-    shards: int | None = None,
-) -> str:
-    result = result if result is not None else run(scale=scale, jobs=jobs, shards=shards)
+def render(result: WildScanResult) -> str:
     months = result.fig8_months()
     calibration = monthly_attack_weights()
     lines = [

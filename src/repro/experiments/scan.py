@@ -9,75 +9,62 @@ durable-run workflow::
     experiments scan --scale 0.1 --ledger run.ledger   # journal as you go
     # ... SIGKILL mid-run ...
     experiments scan --scale 0.1 --resume run.ledger   # finish the rest
+
+:func:`run_report` is the tail every scan front end (``scan``,
+``stream``, ``cluster``) prints its run through.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..workload.generator import WildScanConfig
-
-__all__ = ["run", "render"]
+__all__ = ["render", "run_report"]
 
 
-def run(
-    scale: float = 0.1,
-    seed: int = 7,
-    jobs: int = 1,
-    shards: int | None = None,
-    ledger=None,
-    profile: bool = False,
-):
-    """Run the batch scan; returns ``(result, engine, elapsed_s)``.
+def run_report(result, details=(), *, ledger=None, profile=None, profile_path=None) -> list[str]:
+    """A run's report lines: the detections line, the front end's own
+    ``details``, the ledger line of a journaled run (``ledger`` is the
+    open :class:`repro.runtime.RunLedger`) and the stage table of a
+    profiled one, which is also written to ``profile_path`` when given."""
+    lines = [
+        f"detections: {result.detected_count} ({result.true_positives} true, "
+        f"precision {result.precision:.1%})",
+        *details,
+    ]
+    if ledger is not None:
+        lines.append(
+            f"ledger: {ledger.path} — "
+            f"{ledger.resumed_count} shard(s) resumed from the journal, "
+            f"{ledger.recorded_count} freshly executed and recorded"
+        )
+    if profile is not None:
+        from ..runtime.profile import render_profile, write_profile
+
+        lines.append(render_profile(profile))
+        if profile_path is not None:
+            lines.append(f"profile written to {write_profile(profile, profile_path)}")
+    return lines
+
+
+def render(config, *, ledger=None, profile_path=None) -> str:
+    """Run the batch scan of ``config`` and report it.
 
     ``ledger`` is a path (or an open :class:`repro.runtime.RunLedger`):
     completed shards are journaled as they finish and already-journaled
     shards are skipped, so a killed run resumes where it left off.
-    ``profile`` is an execution knob only — it never changes a result
-    byte; a profiled run leaves the merged stage profile on
-    ``engine.profile``.
     """
     from ..engine import ScanEngine
 
-    config = WildScanConfig(
-        scale=scale, seed=seed, jobs=jobs, shards=shards, profile=profile
-    )
     engine = ScanEngine(config, ledger=ledger)
     start = time.perf_counter()
     result = engine.run()
-    return result, engine, time.perf_counter() - start
-
-
-def render(
-    scale: float = 0.1,
-    seed: int = 7,
-    jobs: int = 1,
-    shards: int | None = None,
-    ledger=None,
-    profile: bool = False,
-    profile_out=None,
-) -> str:
-    result, engine, elapsed = run(
-        scale=scale, seed=seed, jobs=jobs, shards=shards, ledger=ledger,
-        profile=profile,
-    )
+    elapsed = time.perf_counter() - start
     txs_per_s = result.total_transactions / elapsed if elapsed else 0.0
-    lines = [
-        f"Wild scan at scale {scale} — {result.total_transactions} txs "
-        f"in {elapsed:.2f}s ({txs_per_s:,.0f} txs/s, jobs={jobs})",
-        f"detections: {result.detected_count} ({result.true_positives} true, "
-        f"precision {result.precision:.1%})",
-    ]
-    if engine.ledger is not None:
-        lines.append(
-            f"ledger: {engine.ledger.path} — "
-            f"{engine.ledger.resumed_count} shard(s) resumed from the journal, "
-            f"{engine.ledger.recorded_count} freshly executed and recorded"
-        )
-    if engine.profile is not None:
-        from ..runtime.profile import render_profile, write_profile
-
-        lines.append(render_profile(engine.profile))
-        if profile_out is not None:
-            lines.append(f"profile written to {write_profile(engine.profile, profile_out)}")
-    return "\n".join(lines)
+    return "\n".join([
+        f"Wild scan at scale {config.scale} — {result.total_transactions} txs "
+        f"in {elapsed:.2f}s ({txs_per_s:,.0f} txs/s, jobs={config.jobs})",
+        *run_report(
+            result, ledger=engine.ledger, profile=engine.profile,
+            profile_path=profile_path,
+        ),
+    ])

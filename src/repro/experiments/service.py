@@ -19,23 +19,12 @@ from __future__ import annotations
 
 import time
 
-from ..workload.generator import WildScanConfig
-
 __all__ = [
-    "parse_address",
     "render_results",
     "render_serve",
     "render_status",
     "render_submit",
 ]
-
-
-def parse_address(text: str) -> tuple[str, int]:
-    """``HOST:PORT`` -> ``(host, port)`` (raises ValueError loudly)."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
 
 
 def render_serve(
@@ -97,21 +86,18 @@ def render_serve(
 
 
 def render_submit(
-    address: str,
-    scale: float = 0.1,
-    seed: int = 7,
-    shards: int | None = None,
+    address: tuple[str, int],
+    config,
     *,
-    jobs: int = 1,
     wait: bool = False,
     timeout: float | None = None,
 ) -> str:
-    """Submit one scan job; with ``wait``, poll to completion and report."""
+    """Submit the scan of ``config`` (run with ``config.jobs``); with
+    ``wait``, poll to completion and report."""
     from ..service import ServiceClient
 
-    config = WildScanConfig(scale=scale, seed=seed, shards=shards)
-    with ServiceClient(parse_address(address)) as client:
-        run = client.submit(config, jobs=jobs)
+    with ServiceClient(address) as client:
+        run = client.submit(config, jobs=config.jobs)
         lines = [_run_line(run)]
         if run["coalesced"]:
             lines.append(
@@ -134,11 +120,11 @@ def render_submit(
     return "\n".join(lines)
 
 
-def render_status(address: str, run_id: str | None = None) -> str:
+def render_status(address: tuple[str, int], run_id: str | None = None) -> str:
     """One run's status, or — without ``run_id`` — every known run."""
     from ..service import ServiceClient
 
-    with ServiceClient(parse_address(address)) as client:
+    with ServiceClient(address) as client:
         if run_id is not None:
             return _run_line(client.status(run_id))
         views = client.runs()
@@ -157,7 +143,7 @@ def render_status(address: str, run_id: str | None = None) -> str:
 
 
 def render_results(
-    address: str,
+    address: tuple[str, int],
     run_id: str,
     offset: int = 0,
     limit: int | None = None,
@@ -165,7 +151,7 @@ def render_results(
     """One page of a completed run's detections, straight from the ledger."""
     from ..service import ServiceClient
 
-    with ServiceClient(parse_address(address)) as client:
+    with ServiceClient(address) as client:
         page = client.results(run_id, offset=offset, limit=limit)
     summary = page["summary"]
     lines = [

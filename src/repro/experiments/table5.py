@@ -2,36 +2,15 @@
 
 from __future__ import annotations
 
-from ..workload.generator import WildScanConfig, WildScanResult, WildScanner
+from ..workload.generator import WildScanResult
 
-__all__ = ["run", "render", "PAPER_ROWS"]
+__all__ = ["render", "PAPER_ROWS"]
 
 #: the paper's Table V for reference in rendering.
 PAPER_ROWS = {"KRP": (21, 21, 0), "SBS": (79, 68, 11), "MBS": (107, 60, 47)}
 
 
-def run(
-    scale: float = 0.1,
-    seed: int = 7,
-    with_heuristic: bool = False,
-    jobs: int = 1,
-    shards: int | None = None,
-) -> WildScanResult:
-    return WildScanner(
-        WildScanConfig(
-            scale=scale, seed=seed, with_heuristic=with_heuristic,
-            jobs=jobs, shards=shards,
-        )
-    ).run()
-
-
-def render(
-    result: WildScanResult | None = None,
-    scale: float = 0.1,
-    jobs: int = 1,
-    shards: int | None = None,
-) -> str:
-    result = result if result is not None else run(scale=scale, jobs=jobs, shards=shards)
+def render(result: WildScanResult) -> str:
     cfg = result.config
     lines = [
         f"Table V — wild scan at scale {cfg.scale} "

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from ..workload.generator import WildScanResult
-from .table5 import run as run_scan
 
-__all__ = ["run", "render", "PAPER_ROWS"]
+__all__ = ["render", "PAPER_ROWS"]
 
 PAPER_ROWS = (
     ("Balancer", 31, 5, 14, 13),
@@ -14,19 +13,7 @@ PAPER_ROWS = (
 )
 
 
-def run(
-    scale: float = 0.1, seed: int = 7, jobs: int = 1, shards: int | None = None
-) -> WildScanResult:
-    return run_scan(scale=scale, seed=seed, jobs=jobs, shards=shards)
-
-
-def render(
-    result: WildScanResult | None = None,
-    scale: float = 0.1,
-    jobs: int = 1,
-    shards: int | None = None,
-) -> str:
-    result = result if result is not None else run(scale=scale, jobs=jobs, shards=shards)
+def render(result: WildScanResult) -> str:
     lines = [
         "Table VI — top attacked applications (unknown attacks)",
         f"{'App':<18}{'Attacks':>8}{'Attackers':>10}{'Contracts':>10}{'Assets':>8}",

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from ..workload.generator import WildScanResult
-from .table5 import run as run_scan
 
-__all__ = ["run", "render", "PAPER_STATS"]
+__all__ = ["render", "PAPER_STATS"]
 
 #: the paper's Table VII values (yield rate as a fraction; profit in USD).
 PAPER_STATS = {
@@ -18,19 +17,7 @@ PAPER_STATS = {
 }
 
 
-def run(
-    scale: float = 0.1, seed: int = 7, jobs: int = 1, shards: int | None = None
-) -> WildScanResult:
-    return run_scan(scale=scale, seed=seed, jobs=jobs, shards=shards)
-
-
-def render(
-    result: WildScanResult | None = None,
-    scale: float = 0.1,
-    jobs: int = 1,
-    shards: int | None = None,
-) -> str:
-    result = result if result is not None else run(scale=scale, jobs=jobs, shards=shards)
+def render(result: WildScanResult) -> str:
     stats = result.table7()
     lines = [
         "Table VII — attack profit analysis (measured vs paper)",

@@ -20,6 +20,7 @@ import time
 
 from ..cluster.protocol import recv_message, send_message
 from ..engine.wire import config_to_wire, detection_from_wire
+from ..runtime.ledger import LedgerError
 from .server import SERVICE_PROTOCOL_VERSION, ServerStopping
 from .service import AdmissionError, ServiceError, UnknownRunError
 
@@ -37,6 +38,7 @@ class PaginationError(ServiceError):
 
 _ERROR_KINDS = {
     "admission": AdmissionError,
+    "ledger": LedgerError,
     "unknown-run": UnknownRunError,
     "stopping": ServerStopping,
     "timeout": TimeoutError,

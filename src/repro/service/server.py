@@ -10,9 +10,11 @@ blocking each other; all real state lives in the (thread-safe) service.
 Requests are ``{"type": ..., "protocol_version": 1, ...}``; responses
 are ``{"type": "response", "ok": true, ...}`` or ``{"type": "response",
 "ok": false, "error": ..., "kind": ...}`` where ``kind`` names the error
-class (``admission``, ``unknown-run``, ``bad-request``) so clients can
-react without parsing prose. (The frame codec requires every payload to
-be a *typed* object, hence the constant ``type`` on responses.)
+class (``admission``, ``unknown-run``, ``bad-request``; ``ledger`` when
+a completed run's journal no longer decodes, which fails the run) so
+clients can react without parsing prose. (The frame codec requires
+every payload to be a *typed* object, hence the constant ``type`` on
+responses.)
 
 Request types::
 
@@ -47,6 +49,7 @@ import time
 
 from ..cluster.protocol import ConnectionClosed, ProtocolError, recv_message, send_message
 from ..engine.wire import Field, check_fields
+from ..runtime.ledger import LedgerError
 from .service import AdmissionError, ScanService, ServiceError, UnknownRunError
 
 __all__ = ["REQUESTS", "SERVICE_PROTOCOL_VERSION", "ServerStopping", "ServiceServer"]
@@ -228,6 +231,8 @@ class ServiceServer:
             return {"ok": False, "error": str(exc), "kind": "unknown-run"}
         except ServerStopping as exc:
             return {"ok": False, "error": str(exc), "kind": "stopping"}
+        except LedgerError as exc:  # the server's fault, not the request's
+            return {"ok": False, "error": str(exc), "kind": "ledger"}
         except (ServiceError, ValueError) as exc:
             return {"ok": False, "error": str(exc), "kind": "bad-request"}
         except TimeoutError as exc:

@@ -40,6 +40,7 @@ from collections import deque
 
 from ..engine.plan import build_full_schedule
 from ..engine.wire import config_from_wire, detection_to_wire
+from ..runtime.ledger import LedgerError
 from .cache import TTLCache
 from .registry import COALESCE_STATES, RunRecord, RunRegistry, run_id_for
 
@@ -151,7 +152,7 @@ class ScanService:
         ``queued``, and an unreadable/mismatched ledger fails the run
         with the ledger's (now self-describing) error message.
         """
-        from ..runtime.ledger import LedgerError, RunLedger
+        from ..runtime.ledger import RunLedger
 
         for run_id, record in self.registry.load_all().items():
             if record.state == "completed":
@@ -171,11 +172,8 @@ class ScanService:
             try:
                 ledger = RunLedger.open(ledger_path)
             except LedgerError as exc:
-                record.state = "failed"
-                record.error = str(exc)
-                record.finished_at = time.time()
                 self._records[run_id] = record
-                self.registry.save(record)
+                self._fail(record, exc)
                 continue
             try:
                 complete = ledger.is_complete
@@ -313,7 +311,9 @@ class ScanService:
 
         Never re-scans: the merged result decodes from the journaled
         bytes (cached in the results tier) and pagination bounds the
-        response. ``limit=None`` returns everything from ``offset``.
+        response. ``limit=None`` returns everything from ``offset``. A
+        completed run whose ledger no longer decodes raises its
+        ``LedgerError`` and is marked ``failed``.
         """
         if offset < 0:
             raise ServiceError(f"offset must be >= 0, got {offset}")
@@ -328,7 +328,15 @@ class ScanService:
                 f"run {run_id} is {state}; results are served from completed "
                 f"ledgers only"
             )
-        result = self._load_result(run_id)
+        try:
+            result = self._load_result(run_id)
+        except LedgerError as exc:
+            # the server's own journal no longer decodes: the run has
+            # failed, and status, waiters and a restart say so.
+            with self._cond:
+                self._fail(self._records[run_id], exc)
+                self._cond.notify_all()
+            raise
         detections = result.detections
         end = len(detections) if limit is None else min(offset + limit, len(detections))
         page = detections[offset:end]
@@ -386,6 +394,12 @@ class ScanService:
                 name: [row.n, row.tp, row.fp] for name, row in result.rows.items()
             },
         }
+
+    def _fail(self, record: RunRecord, error: LedgerError) -> None:
+        record.state = "failed"
+        record.error = str(error)
+        record.finished_at = time.time()
+        self.registry.save(record)
 
     def _load_result(self, run_id: str):
         """The merged ``WildScanResult`` for a completed run, via the

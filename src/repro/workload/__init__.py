@@ -6,7 +6,6 @@ from .generator import (
     PatternRow,
     WildScanConfig,
     WildScanResult,
-    WildScanner,
 )
 from .profiles import BENIGN_PROFILES, GroundTruth, LabeledTrace, WildMarket
 from .timeline import (
@@ -36,7 +35,6 @@ __all__ = [
     "WildMarket",
     "WildScanConfig",
     "WildScanResult",
-    "WildScanner",
     "month_label",
     "monthly_attack_weights",
     "weekly_flash_loan_series",

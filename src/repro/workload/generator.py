@@ -1,16 +1,17 @@
-"""The wild scan: generate the flash-loan population and run detection.
+"""The wild scan's config and result types.
 
-Reproduces the paper's Sec. VI-C/VI-D evaluation end to end: a seeded
-population of flash-loan transactions (benign profiles + calibrated
-attacks + the two false-positive sources) is executed on the substrate,
-every transaction runs through LeiShen, and detections are verified
-against ground truth the way the paper's manual inspection verified them.
+The scan reproduces the paper's Sec. VI-C/VI-D evaluation end to end: a
+seeded population of flash-loan transactions (benign profiles +
+calibrated attacks + the two false-positive sources) is executed on the
+substrate, every transaction runs through LeiShen, and detections are
+verified against ground truth the way the paper's manual inspection
+verified them. ``repro.engine.ScanEngine(config).run()`` runs it and
+returns a :class:`WildScanResult`.
 
 ``scale`` controls population size: 1.0 means the paper's full 272,984
 transactions (minutes of runtime); the default 0.02 keeps benches fast
 while preserving every ratio. ``jobs`` fans the scan out over worker
-processes via the sharded engine (:mod:`repro.engine`) without changing
-any result byte.
+processes without changing any result byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..leishen.registry import PatternSettings
 from .attacks import FULL_SCALE_MIGRATIONS, FULL_SCALE_STRATEGIES  # noqa: F401 (re-export)
 from .profiles import GroundTruth
 
-__all__ = ["WildScanConfig", "PatternRow", "Detection", "WildScanResult", "WildScanner"]
+__all__ = ["WildScanConfig", "PatternRow", "Detection", "WildScanResult"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,22 +172,4 @@ class WildScanResult:
             if det.truth.month is not None:
                 months[det.truth.month] = months.get(det.truth.month, 0) + 1
         return dict(sorted(months.items()))
-
-
-class WildScanner:
-    """Builds the wild world and runs the scan.
-
-    Execution is delegated to :class:`repro.engine.scan.ScanEngine`, which
-    shards the deterministic schedule across ``config.jobs`` worker
-    processes. The result is byte-identical for any ``jobs`` value.
-    """
-
-    def __init__(self, config: WildScanConfig | None = None, *, ledger=None) -> None:
-        self.config = config or WildScanConfig()
-        self.ledger = ledger
-
-    def run(self) -> WildScanResult:
-        from ..engine import ScanEngine  # lazy: engine imports this module
-
-        return ScanEngine(self.config, ledger=self.ledger).run()
 

@@ -17,7 +17,8 @@ import pytest
 from repro.cluster import ClusterWorker, Coordinator, ElasticPool, run_cluster_scan
 from repro.cluster.autoscale import DEFAULT_PROBATION_COOLDOWN
 from repro.cluster.worker import WorkerKilled
-from repro.workload.generator import WildScanConfig, WildScanner
+from repro.engine import ScanEngine
+from repro.workload.generator import WildScanConfig
 from tests.fingerprint import fingerprint
 
 SCALE = 0.005
@@ -29,7 +30,7 @@ def _config(shards: int = 4) -> WildScanConfig:
 
 
 def _baseline(config: WildScanConfig):
-    return fingerprint(WildScanner(config).run())
+    return fingerprint(ScanEngine(config).run())
 
 
 def _wait_for(predicate, timeout: float = 10.0, message: str = "condition"):

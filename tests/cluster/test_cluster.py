@@ -33,7 +33,7 @@ from repro.engine.wire import config_to_wire
 from repro.engine.plan import build_schedule, shard_schedule
 from repro.engine.scan import ScanEngine, run_shard
 from repro.engine.wire import shard_result_to_wire
-from repro.workload.generator import WildScanConfig, WildScanner
+from repro.workload.generator import WildScanConfig
 from tests.fingerprint import fingerprint
 
 SCALE = 0.005
@@ -47,7 +47,7 @@ def _config(shards: int = SHARDS) -> WildScanConfig:
 
 @pytest.fixture(scope="module")
 def batch_fingerprint():
-    return fingerprint(WildScanner(_config()).run())
+    return fingerprint(ScanEngine(_config()).run())
 
 
 def _wait_for(predicate, timeout: float = 10.0, message: str = "condition"):
@@ -130,7 +130,7 @@ class TestHeartbeatTimeout:
         requeued, a second worker completes it, and the straggler's late
         result is discarded — not double-merged."""
         config = _config(shards=1)
-        batch = WildScanner(config).run()
+        batch = ScanEngine(config).run()
         tasks = build_schedule(config.scale, config.seed)
         parts = shard_schedule(tasks, 1)
         payload = shard_result_to_wire(run_shard((config, 0, 1, parts[0])))
@@ -365,7 +365,7 @@ class TestParkedWorker:
         late requeued shard, drains the buffered heartbeats afterwards,
         and the stats stay churn-free after the clean drain."""
         config = _config(shards=2)
-        baseline = fingerprint(WildScanner(config).run())
+        baseline = fingerprint(ScanEngine(config).run())
         tasks = build_schedule(config.scale, config.seed)
         parts = shard_schedule(tasks, 2)
         payloads = {
@@ -569,7 +569,7 @@ class TestUndecodableFrames:
         result, coordinator, elapsed, payload = self._run_past_bad_result(
             tmp_path, bad_frame
         )
-        batch = WildScanner(_config(shards=1)).run()
+        batch = ScanEngine(_config(shards=1)).run()
         assert fingerprint(result) == fingerprint(batch)
         assert elapsed < 20.0  # finished by the healthy worker, not a timeout
         assert coordinator.stats.worker_losses == 1

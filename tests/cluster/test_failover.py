@@ -375,6 +375,58 @@ class TestLiveFailover:
             assert any(box and box[0].failovers >= 1 for _, _, box in fleet)
 
 
+    def test_default_worker_fails_over_to_the_adopted_standby(
+        self, tmp_path, cold_result
+    ):
+        """A worker built as ``cluster --connect PRIMARY,STANDBY`` builds
+        it (both addresses, default reconnect options) follows the scan
+        from the dead primary to the adopted standby, which finishes
+        through it instead of by local fallback."""
+        path = tmp_path / "run.ledger"
+        primary = Coordinator(_config(), ledger=path, local_fallback=False)
+        primary.start()
+        standby = StandbyCoordinator(
+            _config(),
+            primary=primary.address,
+            ledger=path,
+            probe_interval=0.05,
+            probe_failures=2,
+        )
+        standby.start()
+        worker = ClusterWorker(
+            [primary.address, standby.address],
+            name="cli",
+            task_hook=lambda worker, shard, number: time.sleep(0.002),
+        )
+        box: list = []
+        thread = threading.Thread(
+            target=lambda: box.append(worker.run()), name="cli", daemon=True
+        )
+        thread.start()
+        try:
+            # kill mid-shard: a shutdown that meets the worker's ``ready``
+            # drains it, and a drain rightly ends a worker.
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline and not (
+                _journaled_shards(path) >= 1 and primary.stats.assignments >= 2
+            ):
+                time.sleep(0.01)
+            assert _journaled_shards(path) >= 1, "no shard journaled before the kill"
+            primary.shutdown()
+            assert standby.wait_for_primary_death(timeout=30.0)
+            result = standby.adopt_and_run(timeout=60.0)
+        finally:
+            standby.shutdown()
+            # drained, or refused by both addresses: the worker ends
+            thread.join(timeout=30.0)
+            worker.stop()
+        assert not thread.is_alive()
+        assert standby.stats.assignments >= 1
+        assert standby.stats.local_fallback_shards == 0
+        assert fingerprint(result) == fingerprint(cold_result)
+        assert box and box[0].failovers >= 1 and box[0].shards_completed >= 2
+
+
 def _primary_main(path: str, port: int) -> None:
     """Child process: a primary coordinator serving the journaled scan."""
     coordinator = Coordinator(

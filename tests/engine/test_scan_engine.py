@@ -20,7 +20,7 @@ from repro.engine import (
     shard_schedule,
     shard_seed,
 )
-from repro.workload.generator import WildScanConfig, WildScanner
+from repro.workload.generator import WildScanConfig
 from tests.fingerprint import fingerprint
 
 SCALE = 0.005
@@ -29,12 +29,12 @@ SEED = 7
 
 @pytest.fixture(scope="module")
 def sequential_result():
-    return WildScanner(WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=4)).run()
+    return ScanEngine(WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=4)).run()
 
 
 @pytest.fixture(scope="module")
 def parallel_result():
-    return WildScanner(WildScanConfig(scale=SCALE, seed=SEED, jobs=4, shards=4)).run()
+    return ScanEngine(WildScanConfig(scale=SCALE, seed=SEED, jobs=4, shards=4)).run()
 
 
 class TestJobsDeterminism:
@@ -45,18 +45,18 @@ class TestJobsDeterminism:
         hashes = [d.tx_hash for d in parallel_result.detections]
         assert len(hashes) == len(set(hashes))
 
-    def test_rendered_experiments_byte_identical(self):
+    def test_rendered_experiments_byte_identical(
+        self, sequential_result, parallel_result
+    ):
         from repro.experiments import fig8, table5, table6
 
-        kw = dict(scale=SCALE, shards=4)
-        assert table5.render(jobs=1, **kw) == table5.render(jobs=4, **kw)
-        assert table6.render(jobs=1, **kw) == table6.render(jobs=4, **kw)
-        assert fig8.render(jobs=1, **kw) == fig8.render(jobs=4, **kw)
+        for view in (table5, table6, fig8):
+            assert view.render(sequential_result) == view.render(parallel_result)
 
     def test_jobs_capped_by_shard_count(self):
         # more workers than shards is fine — still identical
-        one = WildScanner(WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=2)).run()
-        many = WildScanner(WildScanConfig(scale=SCALE, seed=SEED, jobs=16, shards=2)).run()
+        one = ScanEngine(WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=2)).run()
+        many = ScanEngine(WildScanConfig(scale=SCALE, seed=SEED, jobs=16, shards=2)).run()
         assert fingerprint(one) == fingerprint(many)
 
 
@@ -245,7 +245,7 @@ class TestAdversarialTail:
 
     @pytest.fixture(scope="class")
     def adversarial_batch(self, adversarial_config):
-        return WildScanner(adversarial_config).run()
+        return ScanEngine(adversarial_config).run()
 
     def test_every_family_detected_with_full_registry(self, adversarial_batch):
         families = {
@@ -266,5 +266,5 @@ class TestAdversarialTail:
 
     def test_paper_default_scan_ignores_tail_families(self):
         config = WildScanConfig(scale=SCALE, seed=SEED, shards=4, adversarial=6)
-        result = WildScanner(config).run()
+        result = ScanEngine(config).run()
         assert not [d for d in result.detections if d.truth.family is not None]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import (
+    ScanEngine,
     StreamBlock,
     StreamEngine,
     build_schedule,
@@ -20,7 +21,7 @@ from repro.engine import (
     shard_schedule,
 )
 from repro.engine.stream import BlockStats, StreamResult
-from repro.workload.generator import WildScanConfig, WildScanner
+from repro.workload.generator import WildScanConfig
 from repro.workload.timeline import STUDY_FIRST_BLOCK, STUDY_LAST_BLOCK
 from tests.fingerprint import fingerprint
 
@@ -30,7 +31,7 @@ SEED = 7
 
 @pytest.fixture(scope="module")
 def batch_result():
-    return WildScanner(WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=4)).run()
+    return ScanEngine(WildScanConfig(scale=SCALE, seed=SEED, jobs=1, shards=4)).run()
 
 
 @pytest.fixture(scope="module")

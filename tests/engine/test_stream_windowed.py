@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import ScanEngine
 from repro.engine.stream import StreamEngine
 from repro.leishen.window import windowed_recall
 from repro.workload.attacks import SPLIT_ATTACK_SPECS, split_spec_of
-from repro.workload.generator import WildScanConfig, WildScanner
+from repro.workload.generator import WildScanConfig
 from tests.fingerprint import fingerprint
 
 SCALE = 0.005
@@ -31,7 +32,7 @@ def _config(jobs=1, shards=4, splits=SPLITS):
 
 @pytest.fixture(scope="module")
 def batch_result():
-    return WildScanner(_config(jobs=1)).run()
+    return ScanEngine(_config(jobs=1)).run()
 
 
 @pytest.fixture(scope="module")

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.engine import ScanEngine
 from repro.experiments import ablations, fig1, fig8, perf, table1, table4, table5, table6, table7
 from repro.experiments.runner import main
+from repro.workload.generator import WildScanConfig
 
 
 @pytest.fixture(scope="module")
 def scan_result():
-    return table5.run(scale=0.01, seed=7)
+    return ScanEngine(WildScanConfig(scale=0.01, seed=7)).run()
 
 
 class TestRenderings:
@@ -73,7 +75,8 @@ class TestRunnerCli:
         assert "Table IV" in out
 
     def test_scale_flag(self, capsys):
-        assert main(["fig1", "--scale", "0.01"]) == 0
+        assert main(["table5", "--scale", "0.01"]) == 0
+        assert "wild scan at scale 0.01" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -52,21 +52,19 @@ class TestClusterSubcommand:
         second = capsys.readouterr().out
         assert "4 shard(s) resumed from the journal" in second
 
-    def test_verify_compares_full_detections(self, monkeypatch):
+    def test_verify_compares_full_detections(self):
         """The identity check covers each detection's wire form, not just
         its tx hash: a profit moved by $1 fails it."""
-        from repro.cluster.coordinator import ClusterStats
         from repro.engine.scan import ScanEngine
         from repro.experiments import cluster
         from repro.workload.generator import WildScanConfig
 
-        result = ScanEngine(WildScanConfig(scale=0.005, seed=7, shards=4)).run()
+        config = WildScanConfig(scale=0.005, seed=7, shards=4)
+        result = ScanEngine(config).run()
+        assert "byte-identical" in cluster.verify_identity(config, result)
         result.detections[0].profit_usd += 1.0
-        monkeypatch.setattr(
-            cluster, "run_local", lambda **_: (result, ClusterStats(), 1.0, None)
-        )
         with pytest.raises(AssertionError, match="identity violation"):
-            cluster.render_local(scale=0.005, shards=4)
+            cluster.verify_identity(config, result)
 
 
 class TestStandbyCLI:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.experiments import service as service_cli
-from repro.experiments.runner import main
+from repro.experiments.runner import main, parse_address
 from repro.service import ServiceClient
 
 
@@ -109,8 +109,8 @@ def test_cli_validates_service_bounds(capsys):
 
 
 def test_parse_address():
-    assert service_cli.parse_address("127.0.0.1:9744") == ("127.0.0.1", 9744)
+    assert parse_address("127.0.0.1:9744") == ("127.0.0.1", 9744)
     with pytest.raises(ValueError):
-        service_cli.parse_address("9744")
+        parse_address("9744")
     with pytest.raises(ValueError):
-        service_cli.parse_address("host:")
+        parse_address("host:")

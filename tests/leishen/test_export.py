@@ -50,9 +50,10 @@ class TestReportExport:
 
 class TestScanExport:
     def test_scan_summary_json_safe(self):
-        from repro.workload import WildScanConfig, WildScanner
+        from repro.engine import ScanEngine
+        from repro.workload import WildScanConfig
 
-        result = WildScanner(WildScanConfig(scale=0.005, seed=9)).run()
+        result = ScanEngine(WildScanConfig(scale=0.005, seed=9)).run()
         data = scan_result_to_dict(result)
         json.dumps(data)  # must not raise
         assert data["per_pattern"]["KRP"]["fp"] == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -11,6 +12,7 @@ import pytest
 from repro.cluster.protocol import recv_message, send_message
 from repro.engine.scan import ScanEngine
 from repro.engine.wire import config_to_wire, detection_to_wire
+from repro.runtime import LedgerError
 from repro.service import (
     AdmissionError,
     ScanService,
@@ -151,6 +153,34 @@ def test_finished_connections_are_pruned(served):
     with ServiceClient(server.address) as client:
         assert client.ping()  # accepting this client prunes the 50 others
         assert [thread.is_alive() for thread, _ in server._conns] == [True]
+
+
+def test_undecodable_ledger_fails_the_run(tmp_path):
+    """A completed run whose journal stops decoding is the server's fault,
+    not the request's: ``results`` answers under the ``ledger`` kind, which
+    the client raises as ``LedgerError``, and the run turns ``failed``,
+    also for the next process."""
+    with ScanService(tmp_path) as first:
+        run_id = first.submit(CONFIG)[0]["run_id"]
+        first.wait(run_id, timeout=120)
+    ledger_path = first.registry.ledger_path(run_id)
+    lines = ledger_path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["payload"]["detections"] = 3
+    ledger_path.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+
+    # a restart adopts the run as completed without opening its ledger
+    with ScanService(tmp_path) as service, ServiceServer(service) as server:
+        with ServiceClient(server.address) as client:
+            assert client.status(run_id)["state"] == "completed"
+            with pytest.raises(LedgerError, match="shard result: detections"):
+                client.results(run_id)
+            view = client.status(run_id)
+    assert view["state"] == "failed"
+    assert "shard result: detections" in view["error"]
+    assert view["finished_at"] is not None
+    with ScanService(tmp_path) as restarted:
+        assert restarted.status(run_id)["state"] == "failed"
 
 
 def test_protocol_version_mismatch_is_refused(served):

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.workload import WildScanConfig, WildScanner
+from repro.engine import ScanEngine
+from repro.workload import WildScanConfig
 
 
 @pytest.fixture(scope="module")
 def scan_result():
-    return WildScanner(WildScanConfig(scale=0.01, seed=7)).run()
+    return ScanEngine(WildScanConfig(scale=0.01, seed=7)).run()
 
 
 @pytest.fixture(scope="module")
 def scan_with_heuristic():
-    return WildScanner(WildScanConfig(scale=0.01, seed=7, with_heuristic=True)).run()
+    return ScanEngine(WildScanConfig(scale=0.01, seed=7, with_heuristic=True)).run()
 
 
 class TestScan:
@@ -44,14 +45,14 @@ class TestScan:
         assert after.tp == before.tp  # no true attacks suppressed
 
     def test_deterministic_given_seed(self):
-        a = WildScanner(WildScanConfig(scale=0.005, seed=3)).run()
-        b = WildScanner(WildScanConfig(scale=0.005, seed=3)).run()
+        a = ScanEngine(WildScanConfig(scale=0.005, seed=3)).run()
+        b = ScanEngine(WildScanConfig(scale=0.005, seed=3)).run()
         assert a.detected_count == b.detected_count
         assert [d.tx_hash for d in a.detections] == [d.tx_hash for d in b.detections]
 
     def test_different_seed_differs(self):
-        a = WildScanner(WildScanConfig(scale=0.005, seed=3)).run()
-        b = WildScanner(WildScanConfig(scale=0.005, seed=4)).run()
+        a = ScanEngine(WildScanConfig(scale=0.005, seed=3)).run()
+        b = ScanEngine(WildScanConfig(scale=0.005, seed=4)).run()
         assert [d.tx_hash for d in a.detections] != [d.tx_hash for d in b.detections]
 
 
