@@ -37,17 +37,17 @@ def main() -> None:
         )
 
     print("\n[2] tagged transfers (creation-tree account tagging):")
-    tagged = detector.tagger.tag_transfers(trace.transfers)
-    for t in tagged:
-        print(f"  T{t.seq:<4} {str(t.tag_sender)[:18]:<20} -> {str(t.tag_receiver)[:18]:<20} "
+    tags = detector.tagger.tags()
+    for t in trace.transfers:
+        print(f"  T{t.seq:<4} {str(tags[t.sender])[:18]:<20} -> {str(tags[t.receiver])[:18]:<20} "
               f"{registry.symbol_of(t.token)}")
 
     print("\n[3] application-level transfers (after the three rules):")
-    app_transfers = detector.simplifier.simplify(tagged)
+    app_transfers = detector.simplifier.simplify(trace.transfers, tags)
     for t in app_transfers:
         print(f"  T{t.seq:<4} {str(t.sender)[:18]:<20} -> {str(t.receiver)[:18]:<20} "
               f"{registry.symbol_of(t.token)}")
-    removed = len(tagged) - len(app_transfers)
+    removed = len(trace.transfers) - len(app_transfers)
     print(f"  ({removed} transfers removed/merged — WETH legs and the Kyber relay)")
 
     print("\n[4] identified trades:")

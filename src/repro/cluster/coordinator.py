@@ -45,6 +45,13 @@ and detect a silently-dead coordinator host; the monitor loop waits on
 the shared condition (never a bare ``sleep``), so ``shutdown()`` wakes
 it immediately even with very large heartbeat timeouts.
 
+Shutdown: once the run is over (every shard merged, or the run failed)
+a worker asking for work is drained, and ``shutdown()`` gives the
+workers between shards up to :data:`DRAIN_GRACE` seconds to be drained
+before it closes their sockets. A shutdown mid-run drains nobody but a
+retiring or excluded worker: it hangs up, so a worker that knows a
+standby's address fails over to it.
+
 A ``hello``, ``result`` or ``shard-error`` frame is decoded when it
 arrives (:mod:`repro.cluster.protocol`): a ``result`` payload must
 decode as a shard result for its frame's shard, with rows only for the
@@ -92,6 +99,10 @@ DEFAULT_MAX_WORKER_STRIKES = 3
 
 #: default seconds without a heartbeat before a worker's shards requeue.
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
+
+#: seconds ``shutdown()`` waits, after the run is over, for the workers
+#: between shards to be drained before it closes their sockets.
+DRAIN_GRACE = 2.0
 
 
 class ClusterError(RuntimeError):
@@ -257,6 +268,9 @@ class Coordinator:
         )
         self._attempts: dict[int, int] = {i: 0 for i in range(self.shard_count)}
         self._workers: dict[str, _WorkerState] = {}
+        #: connections whose worker holds no shard of theirs: a worker
+        #: welcomed, or back with a result, until it is assigned again.
+        self._between: set[socket.socket] = set()
         self._failure: BaseException | None = None
         self._stopping = False
         self._threads: list[threading.Thread] = []
@@ -305,10 +319,17 @@ class Coordinator:
             self._threads.append(thread)
 
     def shutdown(self) -> None:
-        """Graceful drain: stop assigning, wake waiters, close sockets."""
+        """Stop assigning, wake waiters, close sockets.
+
+        After the run is over, the workers between shards are drained
+        first, within :data:`DRAIN_GRACE` seconds; mid-run, their
+        handlers hang up without a drain.
+        """
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
+            if self._over_locked():
+                self._cond.wait_for(lambda: not self._between, timeout=DRAIN_GRACE)
         for thread in self._threads:
             thread.join(timeout=5.0)
         with self._lock:
@@ -361,6 +382,10 @@ class Coordinator:
             # ``counters["shards_profiled"]`` makes visible.
             self.stats.profile = merge_profiles([o.profile for o in outcomes])
         return finish_shards(self.config, self.ledger, outcomes)
+
+    def _over_locked(self) -> bool:
+        """Whether the run is over: every shard merged, or it failed."""
+        return len(self._completed) == self.shard_count or self._failure is not None
 
     def _no_capacity_locked(self) -> bool:
         """True when work remains but no worker can ever pick it up."""
@@ -559,6 +584,7 @@ class Coordinator:
                 # a returning worker is a fresh admission: any pending
                 # scale-down request died with the old connection.
                 worker.retiring = False
+                self._between.add(conn)
                 self._cond.notify_all()
             send_message(
                 conn,
@@ -582,10 +608,10 @@ class Coordinator:
                     if not self._handle_ready(conn, worker):
                         break
                 elif kind == "result":
-                    self._handle_result(worker, self._decode_result(message))
+                    self._handle_result(conn, worker, self._decode_result(message))
                 elif kind == "shard-error":
                     frame = check_frame(message, self._frames["shard-error"])
-                    self._handle_shard_error(worker, frame["shard"])
+                    self._handle_shard_error(conn, worker, frame["shard"])
                 elif kind == "bye":
                     break
                 else:
@@ -597,6 +623,7 @@ class Coordinator:
             with self._cond:
                 if worker is not None and worker.conn is conn:
                     worker.conn = None
+                self._between.discard(conn)
                 self._cond.notify_all()
             try:
                 conn.close()
@@ -604,20 +631,19 @@ class Coordinator:
                 pass
 
     def _handle_ready(self, conn: socket.socket, worker: _WorkerState) -> bool:
-        """Assign the next shard, or drain. False means the worker is done."""
+        """Assign the next shard, or end the session: drain the worker,
+        or, when the coordinator stops mid-run, hang up without a drain.
+        False means the session is over."""
         last_ping = time.monotonic()
         while True:
             parked = False
             shard = None
+            drain = True
             with self._cond:
-                if (
-                    self._stopping
-                    or worker.excluded
-                    or worker.retiring
-                    or len(self._completed) == self.shard_count
-                    or self._failure is not None
-                ):
+                if worker.excluded or worker.retiring or self._over_locked():
                     pass  # drain below
+                elif self._stopping:
+                    drain = False  # mid-run: a worker may fail over instead
                 elif self._pending:
                     shard = self._pending.popleft()
                     if shard in self._completed:
@@ -634,6 +660,7 @@ class Coordinator:
                         worker.shards.add(shard)
                         worker.last_seen = time.monotonic()
                         self.stats.assignments += 1
+                        self._between.discard(conn)
                 else:
                     # nothing pending but the run is live: a straggler's
                     # shard may yet requeue, so keep this worker parked.
@@ -650,7 +677,8 @@ class Coordinator:
                     send_message(conn, {"type": "heartbeat"})
                 continue
             if shard is None:
-                send_message(conn, {"type": "drain"})
+                if drain:
+                    send_message(conn, {"type": "drain"})
                 return False
             assignment = {
                 "type": "assign",
@@ -681,10 +709,13 @@ class Coordinator:
         result.profile = frame.get("profile")
         return result
 
-    def _handle_result(self, worker: _WorkerState, result: ShardResult) -> None:
+    def _handle_result(
+        self, conn: socket.socket, worker: _WorkerState, result: ShardResult
+    ) -> None:
         shard = result.shard_index
         with self._cond:
             worker.shards.discard(shard)
+            self._between.add(conn)
             if worker.probation:
                 # the trial shard came back clean: full re-admission.
                 worker.probation = False
@@ -697,9 +728,12 @@ class Coordinator:
                 worker.completed += 1
             self._cond.notify_all()
 
-    def _handle_shard_error(self, worker: _WorkerState, shard: int) -> None:
+    def _handle_shard_error(
+        self, conn: socket.socket, worker: _WorkerState, shard: int
+    ) -> None:
         with self._cond:
             worker.shards.discard(shard)
+            self._between.add(conn)
             self.stats.shard_errors += 1
             self._requeue_locked(shard)
             self._strike_locked(worker)

@@ -34,6 +34,7 @@ across transactions) and arrive in consecutive stream blocks.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from ..workload.attacks import (
     ATTACK_CLUSTERS,
@@ -72,6 +73,16 @@ MIN_SHARDED_POPULATION = 512
 
 _CLUSTER_INDEX = {id(cluster): i for i, cluster in enumerate(ATTACK_CLUSTERS)}
 
+#: a benign task draws its profile index by weight. The cumulative
+#: weights are the ones ``rng.choices(indices, weights)`` accumulates on
+#: every call, so passing them draws the same index.
+_BENIGN_INDICES = range(len(BENIGN_PROFILES))
+_BENIGN_CUM_WEIGHTS = list(accumulate(weight for _, weight, _ in BENIGN_PROFILES))
+
+
+def _benign_task(rng: random.Random) -> Task:
+    return ("benign", rng.choices(_BENIGN_INDICES, cum_weights=_BENIGN_CUM_WEIGHTS)[0])
+
 
 def population_size(scale: float) -> int:
     """Total wild-scan transactions at ``scale`` (1.0 = paper's 272,984)."""
@@ -95,10 +106,8 @@ def build_schedule(scale: float, seed: int) -> list[Task]:
     n_strategies = max(1, round(FULL_SCALE_STRATEGIES * scale))
     tasks.extend([("strategy",)] * n_strategies)
     total = population_size(scale)
-    indices = range(len(BENIGN_PROFILES))
-    weights = [weight for _, weight, _ in BENIGN_PROFILES]
     for _ in range(max(0, total - len(tasks))):
-        tasks.append(("benign", rng.choices(indices, weights)[0]))
+        tasks.append(_benign_task(rng))
     rng.shuffle(tasks)
     return tasks
 
@@ -116,8 +125,6 @@ def split_schedule_tail(groups: int, shards: int, seed: int) -> list[Task]:
     if groups <= 0:
         return []
     rng = random.Random(f"split-tail:{seed}")
-    indices = range(len(BENIGN_PROFILES))
-    weights = [weight for _, weight, _ in BENIGN_PROFILES]
     tail: list[Task] = []
     for wave_start in range(0, groups, shards):
         wave = list(range(wave_start, min(wave_start + shards, groups)))
@@ -130,7 +137,7 @@ def split_schedule_tail(groups: int, shards: int, seed: int) -> list[Task]:
                     if row < n_rounds:
                         tail.append(("split", group, row, n_rounds))
                         continue
-                tail.append(("benign", rng.choices(indices, weights)[0]))
+                tail.append(_benign_task(rng))
     return tail
 
 

@@ -18,7 +18,7 @@ from .registry import (
 )
 from .report import AttackReport, pair_volatilities, price_volatility
 from .simplify import AppTransfer, SimplifierConfig, TransferSimplifier
-from .tagging import AccountTagger, BLACKHOLE_TAG, Tag, TaggedTransfer
+from .tagging import AccountTagger, BLACKHOLE_TAG, Tag
 from .trades import Trade, TradeIdentifier, TradeKind
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "ProfitBreakdown",
     "SimplifierConfig",
     "Tag",
-    "TaggedTransfer",
     "Trade",
     "TradeIdentifier",
     "TradeKind",

@@ -6,7 +6,7 @@ transaction:
 1. *transfer history extraction* — the substrate already records ordered
    account-level transfers (Sec. V-A);
 2. *application-level asset transfer construction* — account tagging plus
-   the three simplification rules (Sec. V-B);
+   the three simplification rules (Sec. V-B), in one lifting pass;
 3. *attack pattern identification* — trade action identification and
    KRP/SBS/MBS matching anchored on the flash-loan borrower (Sec. V-C).
 
@@ -47,7 +47,8 @@ class LeiShenConfig:
     #: patterns at their calibrated thresholds).
     patterns: PatternSettings = PatternSettings()
     #: ablation switch: skip tagging/simplification and run patterns on
-    #: raw account-level transfers (DESIGN.md ablation 1).
+    #: raw account-level transfers (DESIGN.md ablation 1); nothing is
+    #: tagged, borrowers included.
     use_app_level_transfers: bool = True
 
 
@@ -96,12 +97,10 @@ class LeiShen:
             borrowers = tuple(dict.fromkeys(loan.borrower for loan in flash_loans))
         if prof is not None:
             started = now()
-        tagged = self.tagger.tag_transfers(trace.transfers)
-        if prof is not None:
-            prof.add("tag", now() - started)
-            started = now()
         if self.config.use_app_level_transfers:
-            app_transfers = self.simplifier.simplify(tagged)
+            tags = self.tagger.tags()
+            app_transfers = self.simplifier.simplify(trace.transfers, tags)
+            borrower_tags = tuple(map(tags.__getitem__, borrowers))
         else:
             # Ablation: account-level "tags" are the raw addresses.
             app_transfers = [
@@ -114,6 +113,7 @@ class LeiShen:
                 )
                 for t in trace.transfers
             ]
+            borrower_tags = tuple(map(str, borrowers))
         if prof is not None:
             prof.add("simplify", now() - started)
             started = now()
@@ -121,10 +121,6 @@ class LeiShen:
         if prof is not None:
             prof.add("trades", now() - started)
             started = now()
-        if self.config.use_app_level_transfers:
-            borrower_tags = tuple(map(self.tagger.tag_of, borrowers))
-        else:
-            borrower_tags = tuple(map(str, borrowers))
         # once per distinct tag (borrowers can share a creation-root
         # tag); an untaggable borrower's None tag matches nothing
         if len(borrower_tags) == 1:

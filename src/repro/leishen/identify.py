@@ -45,7 +45,12 @@ class FlashLoan:
 
 
 #: dYdX's fingerprint: every one of these events in one transaction.
-_DYDX_EVENTS = frozenset({"LogOperation", "LogWithdraw", "LogCall", "LogDeposit"})
+_DYDX_EVENTS = ("LogOperation", "LogWithdraw", "LogCall", "LogDeposit")
+#: one bit per fingerprint event: AAVE's ``FlashLoan`` and dYdX's four.
+_EVENT_BITS = {event: 1 << i for i, event in enumerate(("FlashLoan", *_DYDX_EVENTS))}
+_FLASH_LOAN = _EVENT_BITS["FlashLoan"]
+_LOG_WITHDRAW = _EVENT_BITS["LogWithdraw"]
+_DYDX_ALL = sum(_EVENT_BITS[event] for event in _DYDX_EVENTS)
 
 
 class FlashLoanIdentifier:
@@ -72,34 +77,43 @@ class FlashLoanIdentifier:
                         break
             elif function == "flashLoan":
                 flash_loan_called = True
-        logs = trace.logs
-        events = {log.event for log in logs}
-        # AAVE: the flashLoan function plus FlashLoan events.
-        if flash_loan_called and "FlashLoan" in events:
-            for log in logs:
-                if log.event == "FlashLoan":
-                    loans.append(
-                        FlashLoan(
-                            provider="AAVE",
-                            provider_account=log.emitter,
-                            borrower=log.param("target"),
-                            token=log.param("reserve"),
-                            amount=log.param("amount", 0),
-                        )
+        # AAVE: the flashLoan function plus FlashLoan events; dYdX: the
+        # Operate/Withdraw/callFunction/Deposit quadruple. One walk over
+        # the logs collects both; the loans are built after it, AAVE first.
+        aave: list = []
+        withdraws: list = []
+        seen = 0  # the bits of the fingerprint events seen
+        for log in trace.logs:
+            event = log.event
+            if event in _EVENT_BITS:
+                bit = _EVENT_BITS[event]
+                seen |= bit
+                if bit == _FLASH_LOAN:
+                    aave.append(log)
+                elif bit == _LOG_WITHDRAW:
+                    withdraws.append(log)
+        if flash_loan_called:
+            for log in aave:
+                loans.append(
+                    FlashLoan(
+                        provider="AAVE",
+                        provider_account=log.emitter,
+                        borrower=log.param("target"),
+                        token=log.param("reserve"),
+                        amount=log.param("amount", 0),
                     )
-        # dYdX: the Operate/Withdraw/callFunction/Deposit quadruple.
-        if _DYDX_EVENTS <= events:
-            for log in logs:
-                if log.event == "LogWithdraw":
-                    loans.append(
-                        FlashLoan(
-                            provider="dYdX",
-                            provider_account=log.emitter,
-                            borrower=log.param("account"),
-                            token=log.param("market"),
-                            amount=log.param("amount", 0),
-                        )
+                )
+        if (seen & _DYDX_ALL) == _DYDX_ALL:
+            for log in withdraws:
+                loans.append(
+                    FlashLoan(
+                        provider="dYdX",
+                        provider_account=log.emitter,
+                        borrower=log.param("account"),
+                        token=log.param("market"),
+                        amount=log.param("amount", 0),
                     )
+                )
         return loans
 
     def is_flash_loan_transaction(self, trace: TransactionTrace) -> bool:

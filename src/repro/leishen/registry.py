@@ -26,6 +26,7 @@ one scan one digest.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -354,6 +355,47 @@ class _Window:
 # -- KRP — Keep Raising Price -------------------------------------------------
 
 
+class _Series:
+    """One seller's buys of a token so far, for KRP: the running state of
+    the "rising" test, updated one buy at a time."""
+
+    __slots__ = ("order", "buys", "first", "last", "rising", "overflows", "queued")
+
+    def __init__(self, order: int) -> None:
+        #: first-seen position of the seller among the token's buys.
+        self.order = order
+        self.buys: list[Trade] = []
+        self.first = self.last = 0.0
+        #: no dip so far: every rate at least the one before it.
+        self.rising = True
+        #: some buy's sell rate does not fit a float.
+        self.overflows = False
+        #: on the candidate heap.
+        self.queued = False
+
+    def add(self, buy: Trade) -> None:
+        self.buys.append(buy)
+        if self.overflows:
+            return
+        try:
+            rate = buy.sell_rate
+        except OverflowError:
+            self.overflows = True
+            return
+        if len(self.buys) == 1:
+            self.first = rate
+        elif rate < self.last:
+            self.rising = False
+        self.last = rate
+
+    def decides(self, min_buys: int) -> bool:
+        """Whether a sell now ends the search on this series: it rises
+        overall with no dip, or computing its rates raises."""
+        return len(self.buys) >= min_buys and (
+            self.overflows or (self.rising and self.first < self.last)
+        )
+
+
 class KeepRaisingPrice(PatternPlugin):
     """>= ``min_buys`` buys from one seller at rising prices, then a sell."""
 
@@ -361,55 +403,80 @@ class KeepRaisingPrice(PatternPlugin):
     defaults = {"min_buys": 5}
 
     def match(self, trades, borrower, params):
+        """For each token the borrower buys (first-seen order), the first
+        sell after which one seller's buys, before it in seq, number
+        ``min_buys`` and rise. Condition (b) is a rise across the whole
+        series, not merely endpoint to endpoint: a mid-series dip means
+        the price was not being kept raised, and an endpoint test alone
+        admits ordinary oscillating sequences. Plateaus are tolerated
+        (oracle-rate buys repeat a price), but the series must strictly
+        rise overall.
+
+        ``trades`` come sorted by seq (as :class:`PatternMatcher` hands
+        them), so one walk per token keeps every seller's series, and a
+        heap of the series that would decide a sell, by the seller's
+        first-seen position, names the series a sell matches with.
+        """
         min_buys = params["min_buys"]
-        matches: "list[PatternMatch]" = []
+        own = [t for t in trades if t.buyer == borrower]
         # a dict, not a set: tokens in first-seen trade order. A set's
         # order follows PYTHONHASHSEED, and the order of matches with it.
-        for token in {t.token_buy: None for t in trades if t.buyer == borrower}:
-            buys = [t for t in trades if t.buyer == borrower and t.token_buy == token]
-            sells = [t for t in trades if t.buyer == borrower and t.token_sell == token]
-            if not sells:
-                continue
-            for sell in sells:
-                prior = [b for b in buys if b.seq < sell.seq]
-                by_seller: dict[Tag, list[Trade]] = {}
-                for buy in prior:
-                    by_seller.setdefault(buy.seller, []).append(buy)
-                for seller, series in by_seller.items():
-                    if len(series) < min_buys:
-                        continue
-                    # condition (b): buys at *rising* prices. The rise
-                    # must hold across the whole series, not merely
-                    # endpoint-to-endpoint — a mid-series dip means the
-                    # price was not being kept raised (and endpoint
-                    # comparison alone admits ordinary oscillating trade
-                    # sequences as false positives). Plateaus are
-                    # tolerated (oracle-rate buys repeat a price), but
-                    # the series overall must strictly rise.
-                    rates = [buy.sell_rate for buy in series]
-                    rising = rates[0] < rates[-1] and all(
-                        earlier <= later for earlier, later in zip(rates, rates[1:])
-                    )
-                    first, last = series[0], series[-1]
-                    if rising:
-                        matches.append(
-                            _match(
-                                self.key,
-                                token,
-                                (*series, sell),
-                                (
-                                    ("n_buys", len(series)),
-                                    ("first_rate", first.sell_rate),
-                                    ("last_rate", last.sell_rate),
-                                    ("seller", str(seller)),
-                                ),
-                            )
-                        )
-                        break  # one match per (token, sell) is enough
-                else:
-                    continue
-                break  # token matched; move on
+        per_token: dict[Address, list[Trade]] = {t.token_buy: [] for t in own}
+        for t in own:
+            per_token[t.token_buy].append(t)
+            if t.token_sell != t.token_buy and t.token_sell in per_token:
+                per_token[t.token_sell].append(t)
+        matches: "list[PatternMatch]" = []
+        for token, token_trades in per_token.items():
+            match = self._first_match(token, token_trades, min_buys)
+            if match is not None:
+                matches.append(match)
         return matches
+
+    def _first_match(self, token, token_trades, min_buys) -> "PatternMatch | None":
+        series: dict[Tag, _Series] = {}
+        heap: list[tuple[int, _Series]] = []
+        # buys tied in seq with a sell are not before it: a run of equal
+        # seqs joins the series only once the next seq begins
+        run: list[Trade] = []
+        run_seq = None
+        for trade in token_trades:
+            if trade.seq != run_seq:
+                for buy in run:
+                    seller = buy.seller
+                    current = series.get(seller)
+                    if current is None:
+                        current = series[seller] = _Series(len(series))
+                    current.add(buy)
+                    if not current.queued and current.decides(min_buys):
+                        current.queued = True
+                        heapq.heappush(heap, (current.order, current))
+                run = []
+                run_seq = trade.seq
+            if trade.token_sell == token:
+                # a series leaves the heap for good once a dip stops it
+                # deciding, unless an overflowing buy puts it back
+                while heap and not heap[0][1].decides(min_buys):
+                    heapq.heappop(heap)[1].queued = False
+                if heap:
+                    found = heap[0][1]
+                    if found.overflows:
+                        [buy.sell_rate for buy in found.buys]  # raises, as the loop did
+                    first, last = found.buys[0], found.buys[-1]
+                    return _match(
+                        self.key,
+                        token,
+                        (*found.buys, trade),
+                        (
+                            ("n_buys", len(found.buys)),
+                            ("first_rate", first.sell_rate),
+                            ("last_rate", last.sell_rate),
+                            ("seller", str(first.seller)),
+                        ),
+                    )
+            if trade.token_buy == token:
+                run.append(trade)
+        return None
 
 
 # -- SBS — Symmetrical Buying and Selling -------------------------------------
@@ -702,6 +769,50 @@ class InfiniteMint(PatternPlugin):
 # -- DONATION — single-round share-price inflation ----------------------------
 
 
+class _Removals:
+    """DONATION's removals of one (share token, underlying, venue): in
+    seq order, and their positions sorted by share amount.
+
+    DONATION's round-trip test ``|a - b| / max(a, b) <= tol`` falls as
+    the removed share amount ``b`` nears the minted ``a`` and grows past
+    it, and the division is correctly rounded, so for a positive ``a``
+    the removals that pass are one run of the sorted amounts, found by
+    bisection. Token amounts are never negative.
+    """
+
+    __slots__ = ("seqs", "trades", "order", "amounts")
+
+    def __init__(self, trades: list[Trade]) -> None:
+        self.trades = trades
+        self.seqs = [t.seq for t in trades]
+        self.order = sorted(range(len(trades)), key=lambda i: trades[i].amount_sell)
+        self.amounts = [trades[i].amount_sell for i in self.order]
+
+    def round_trips(self, deposit: Trade, tol: float) -> list[Trade]:
+        """The removals after ``deposit`` (in seq) whose share amount
+        passes the round-trip test against the shares it minted, in seq
+        order."""
+        a = deposit.amount_buy
+
+        def fails(b: int) -> bool:
+            big = a if a > b else b
+            return big == 0 or abs(a - b) / big > tol
+
+        after = bisect_right(self.seqs, deposit.seq)
+        if a <= 0:
+            return [t for t in self.trades[after:] if not fails(t.amount_sell)]
+        amounts = self.amounts
+        mid = bisect_left(amounts, a)
+        lo = bisect_left(amounts, True, 0, mid, key=lambda b: not fails(b))
+        hi = bisect_left(amounts, True, mid, len(amounts), key=fails)
+        return [self.trades[i] for i in sorted(self.order[lo:hi]) if i >= after]
+
+
+#: a removal's (share token, underlying, venue), which a deposit's
+#: (token_buy, token_sell, seller) must equal.
+_ROUND_KEY = attrgetter("token_sell", "token_buy", "seller")
+
+
 class DonationInflation(PatternPlugin):
     """One mint/remove round of a share token at an outsized gain.
 
@@ -725,27 +836,21 @@ class DonationInflation(PatternPlugin):
             for t in trades
             if t.buyer == borrower and t.kind is TradeKind.MINT_LIQUIDITY
         ]
-        removals = [
-            t
-            for t in trades
-            if t.buyer == borrower and t.kind is TradeKind.REMOVE_LIQUIDITY
-        ]
+        removals: dict[tuple, list[Trade]] = {}
+        for t in trades:
+            if t.buyer == borrower and t.kind is TradeKind.REMOVE_LIQUIDITY:
+                removals.setdefault(_ROUND_KEY(t), []).append(t)
+        by_key = {key: _Removals(group) for key, group in removals.items()}
         seen: set[Address] = set()
         for t1 in deposits:
-            if t1.token_buy in seen:
+            if t1.token_buy in seen or t1.amount_sell <= 0:
                 continue
-            for t2 in removals:
-                if t2.seq <= t1.seq:
-                    continue
-                if t2.token_sell != t1.token_buy or t2.token_buy != t1.token_sell:
-                    continue  # not the same share/underlying pair
-                if t1.seller != t2.seller:
-                    continue
-                big = max(t1.amount_buy, t2.amount_sell)
-                if big == 0 or abs(t1.amount_buy - t2.amount_sell) / big > tol:
-                    continue  # share amounts must round-trip
-                if t1.amount_sell <= 0:
-                    continue
+            group = by_key.get((t1.token_buy, t1.token_sell, t1.seller))
+            if group is None:
+                continue
+            # the same share and underlying, on the same venue, with
+            # share amounts that round-trip
+            for t2 in group.round_trips(t1, tol):
                 gain = (t2.amount_buy - t1.amount_sell) / t1.amount_sell
                 if gain < min_gain:
                     continue

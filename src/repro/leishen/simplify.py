@@ -1,7 +1,8 @@
 """Asset transfer simplification (paper Sec. V-B-2).
 
-Converts tagged account-level transfers into *application-level* transfers
-with three rules, applied in the paper's order:
+Lifts account-level transfers to *application-level* transfers: each
+endpoint is replaced by its tag (:mod:`repro.leishen.tagging`), and three
+rules apply in the paper's order:
 
 1. **Remove intra-app transfers** — ``tag_sender == tag_receiver`` shows
    asset flow inside one application and carries no trade information.
@@ -13,15 +14,20 @@ with three rules, applied in the paper's order:
    collapsed into one direct transfer, revealing the real counterparties
    behind aggregator hops. The amount tolerance (default 0.1%) absorbs
    the intermediary's service fee.
+
+Tagging, rules 1-2 and the first left-to-right pass of rule 3 run in one
+loop over the transfers; later merge passes run only when the first one
+merged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping
 
+from ..chain.trace import TransferRecord
 from ..chain.types import Address, ETHER
-from .tagging import Tag, TaggedTransfer
+from .tagging import Tag
 
 __all__ = ["AppTransfer", "SimplifierConfig", "TransferSimplifier"]
 
@@ -63,38 +69,77 @@ class TransferSimplifier:
     def __init__(self, config: SimplifierConfig | None = None) -> None:
         self.config = config or SimplifierConfig()
 
-    def simplify(self, tagged: Sequence[TaggedTransfer]) -> list[AppTransfer]:
-        # Rules 1 and 2 are per-item filters applied in order, so they are
-        # fused into the lifting pass: one output list instead of three
-        # intermediate ones (this path runs once per scanned transaction).
+    def simplify(
+        self, transfers: Iterable[TransferRecord], tags: Mapping[Address, Tag]
+    ) -> list[AppTransfer]:
+        """Lift ``transfers`` to application-level transfers in one pass.
+
+        ``tags`` maps each endpoint address to its tag
+        (:meth:`~repro.leishen.tagging.AccountTagger.tags`). The loop
+        applies rules 1 and 2 to each transfer and runs rule 3's first
+        pass on the kept ones as they come: ``prev``, the last kept
+        transfer, merges with the next one into a direct transfer, and a
+        merged transfer waits for the next pass, as in
+        :meth:`_merge_inter_app`. A merged ``A -> I -> A`` round trip is
+        intra-app and is dropped at once when rule 1 is on.
+        """
         cfg = self.config
         remove_intra = cfg.remove_intra_app
         remove_weth = cfg.remove_weth
+        merge = cfg.merge_inter_app
         weth_tag = cfg.weth_tag
         weth_tokens = cfg.weth_tokens
-        transfers: list[AppTransfer] = []
-        append = transfers.append
-        for t in tagged:
-            sender = t.tag_sender
-            receiver = t.tag_receiver
+        tolerance = cfg.merge_tolerance
+        lifted: list[AppTransfer] = []
+        append = lifted.append
+        prev: AppTransfer | None = None
+        merged = False
+        for t in transfers:
+            sender = tags[t.sender]
+            receiver = tags[t.receiver]
             if remove_intra and sender is not None and sender == receiver:
                 continue
+            token = t.token
             if remove_weth:
                 if sender == weth_tag or receiver == weth_tag:
                     continue
-                token = ETHER if t.token in weth_tokens else t.token
-            else:
-                token = t.token
-            append(AppTransfer(t.seq, sender, receiver, t.amount, token))
-        if cfg.merge_inter_app:
-            transfers = self._merge_inter_app(transfers)
-        return transfers
+                if token in weth_tokens:
+                    token = ETHER
+            amount = t.amount
+            if prev is not None:
+                via = prev.receiver
+                if (
+                    via is not None
+                    and via == sender
+                    and prev.token == token
+                    and via != prev.sender  # an intermediary hop only
+                    and via != receiver
+                ):
+                    a = prev.amount
+                    big = a if a > amount else amount
+                    if big != 0 and abs(a - amount) / big <= tolerance:
+                        merged = True
+                        origin = prev.sender
+                        if remove_intra and origin is not None and origin == receiver:
+                            lifted.pop()
+                        else:
+                            lifted[-1] = AppTransfer(prev.seq, origin, receiver, amount, token)
+                        prev = None
+                        continue
+            current = AppTransfer(t.seq, sender, receiver, amount, token)
+            append(current)
+            if merge:
+                prev = current
+        if merged:
+            return self._merge_inter_app(lifted)
+        return lifted
 
     # -- rule 3 -----------------------------------------------------------
 
     def _merge_inter_app(self, transfers: list[AppTransfer]) -> list[AppTransfer]:
         """Collapse A->I->B chains; iterates to a fixpoint so longer relay
-        chains (A->I1->I2->B) also merge.
+        chains (A->I1->I2->B) also merge. :meth:`simplify` runs the first
+        pass itself and calls this for the rest.
 
         Each pass pairs neighbours left to right, and a merged pair is not
         re-examined until the next pass, so the pass order decides which

@@ -20,22 +20,24 @@ Tagging therefore:
 
 The BlackHole (zero address) gets a reserved tag, and plain user accounts
 with no creations and no label are tagged with their own address.
+
+:meth:`AccountTagger.tags` hands the lifting pass
+(:meth:`~repro.leishen.simplify.TransferSimplifier.simplify`) every
+account's tag as one cached mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from ..chain.trace import TransferRecord
 from ..chain.types import Address, ZERO_ADDRESS
 from .labels import LabelDatabase
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..chain.chain import Chain
 
-__all__ = ["AccountTagger", "TaggedTransfer", "BLACKHOLE_TAG", "Tag"]
+__all__ = ["AccountTagger", "BLACKHOLE_TAG", "Tag"]
 
 #: Reserved tag for the zero address (mint/burn endpoint).
 BLACKHOLE_TAG = "BlackHole"
@@ -45,36 +47,29 @@ BLACKHOLE_TAG = "BlackHole"
 Tag = str | None
 
 
-@dataclass(slots=True)
-class TaggedTransfer:
-    """An account-level transfer lifted to tags:
-    ``tagT = (tag_sender, tag_receiver, amount, token)``.
+class _TagCache(dict):
+    """Address -> tag; a lookup that misses resolves the tag and keeps it."""
 
-    A value, never mutated after construction; not frozen (see
-    :class:`~repro.chain.trace.TransferRecord`).
-    """
+    __slots__ = ("_resolve",)
 
-    seq: int
-    tag_sender: Tag
-    tag_receiver: Tag
-    amount: int
-    token: Address
-    sender: Address
-    receiver: Address
+    def __init__(self, resolve: Callable[[Address], Tag]) -> None:
+        super().__init__()
+        self._resolve = resolve
 
-
-_MISSING = object()
+    def __missing__(self, address: Address) -> Tag:
+        tag = self[address] = self._resolve(address)
+        return tag
 
 
 class AccountTagger:
     """Resolves account tags against one chain's creation graph.
 
-    Cache invalidation is generation-counter based: every ``tag_of`` call
-    compares one integer (``chain.version``) against the last synced
-    generation instead of re-scanning the creation and label stores. When
-    the chain did grow, the label database and children index are synced
-    *incrementally* (only the new records are visited); the tag cache is
-    dropped only when something actually changed.
+    Cache invalidation is generation-counter based: every ``tags`` or
+    ``tag_of`` call compares one integer (``chain.version``) against the
+    last synced generation instead of re-scanning the creation and label
+    stores. When the chain did grow, the label database and children
+    index are synced *incrementally* (only the new records are visited);
+    the tag cache is dropped only when something actually changed.
     """
 
     def __init__(self, chain: "Chain", labels: LabelDatabase | None = None) -> None:
@@ -88,7 +83,7 @@ class AccountTagger:
         self._synced_labels_version = -1
         self._children: dict[Address, list[Address]] = {}
         self._indexed_creations = 0
-        self._cache: dict[Address, Tag] = {}
+        self._cache = _TagCache(self._resolve)
         self._synced_version = -1
         self._refresh()
 
@@ -110,20 +105,24 @@ class AccountTagger:
 
     # -- tag resolution -----------------------------------------------------
 
-    def tag_of(self, address: Address) -> Tag:
-        """Resolve one account's tag (cached)."""
-        if address == ZERO_ADDRESS:
-            return BLACKHOLE_TAG
+    def tags(self) -> Mapping[Address, Tag]:
+        """Every account's tag, as a mapping that resolves and caches misses.
+
+        Synced to the chain's current generation here, once: resolving
+        tags never changes the chain, so one call serves every lookup
+        until the chain next grows.
+        """
         if self._synced_version != self._chain.version:
             self._refresh()
-        tag = self._cache.get(address, _MISSING)
-        if tag is not _MISSING:
-            return tag
-        tag = self._resolve(address)
-        self._cache[address] = tag
-        return tag
+        return self._cache
+
+    def tag_of(self, address: Address) -> Tag:
+        """Resolve one account's tag (cached)."""
+        return self.tags()[address]
 
     def _resolve(self, address: Address) -> Tag:
+        if address == ZERO_ADDRESS:
+            return BLACKHOLE_TAG
         own = self._labels.app_of(address)
         tree = self._tree_members(address)
         tag_set = {self._labels.app_of(member) for member in tree}
@@ -214,39 +213,3 @@ class AccountTagger:
         self._synced_labels = count
         self._synced_labels_version = version
         return True
-
-    # -- transfer lifting --------------------------------------------------------
-
-    def tag_transfers(self, transfers: Iterable[TransferRecord]) -> list[TaggedTransfer]:
-        """Lift account-level transfers to tagged transfers.
-
-        Same tags as :meth:`tag_of` per address, with one generation
-        check per call: resolving tags never changes the chain.
-        """
-        if self._synced_version != self._chain.version:
-            self._refresh()
-        cache = self._cache
-        get = cache.get
-        tagged: list[TaggedTransfer] = []
-        append = tagged.append
-        for t in transfers:
-            sender = t.sender
-            receiver = t.receiver
-            if sender == ZERO_ADDRESS:
-                tag_sender = BLACKHOLE_TAG
-            else:
-                tag_sender = get(sender, _MISSING)
-                if tag_sender is _MISSING:
-                    tag_sender = cache[sender] = self._resolve(sender)
-            if receiver == ZERO_ADDRESS:
-                tag_receiver = BLACKHOLE_TAG
-            else:
-                tag_receiver = get(receiver, _MISSING)
-                if tag_receiver is _MISSING:
-                    tag_receiver = cache[receiver] = self._resolve(receiver)
-            append(
-                TaggedTransfer(
-                    t.seq, tag_sender, tag_receiver, t.amount, t.token, sender, receiver
-                )
-            )
-        return tagged

@@ -81,7 +81,12 @@ class TradeIdentifier:
     FEE_BURN_RATIO = 0.2
 
     def identify(self, transfers: list[AppTransfer]) -> list[Trade]:
-        transfers = self._strip_fee_burns(transfers)
+        # a fee burn goes to the BlackHole: without such a leg (all but
+        # a few calls) there is nothing to strip and no copy to make
+        for transfer in transfers:
+            if transfer.receiver == BLACKHOLE_TAG:
+                transfers = self._strip_fee_burns(transfers)
+                break
         match3 = self._match3
         match2 = self._match2
         trades: list[Trade] = []

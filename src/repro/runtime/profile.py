@@ -81,7 +81,10 @@ def merge_profiles(payloads) -> dict:
 
 
 #: stages the detector times inside the engine's per-transaction
-#: ``detect`` timer (:meth:`repro.leishen.detector.LeiShen.analyze`).
+#: ``detect`` timer (:meth:`repro.leishen.detector.LeiShen.analyze`):
+#: ``simplify`` is the one lifting pass, tagging included. ``tag`` is
+#: the tagging timer of profiles taken before that pass, still listed
+#: under ``detect`` when a payload carries it.
 DETECT_STAGES = frozenset({"identify", "tag", "simplify", "trades", "match"})
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from ..chain.trace import TransactionTrace
@@ -23,6 +24,12 @@ from ..tokens.erc20 import ERC20
 from ..world import DeFiWorld
 
 __all__ = ["WildMarket", "GroundTruth", "LabeledTrace", "BENIGN_PROFILES"]
+
+#: flash-loan providers by share, Uniswap 208,342 : dYdX 41,741 : AAVE
+#: 22,959 (paper Sec. VI-A), as the cumulative weights ``rng.choices``
+#: would accumulate from those counts on every draw.
+_PROVIDERS = ("Uniswap", "dYdX", "AAVE")
+_PROVIDER_CUM_WEIGHTS = list(accumulate((208_342, 41_741, 22_959)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,10 +245,7 @@ class WildMarket:
         return bot
 
     def pick_provider(self) -> str:
-        # Uniswap 208,342 : dYdX 41,741 : AAVE 22,959 (paper Sec. VI-A)
-        return self.rng.choices(
-            ["Uniswap", "dYdX", "AAVE"], weights=[208_342, 41_741, 22_959]
-        )[0]
+        return self.rng.choices(_PROVIDERS, cum_weights=_PROVIDER_CUM_WEIGHTS)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,39 @@ class TestShutdownLiveness:
         assert time.monotonic() - start < 2.0
         assert all(not thread.is_alive() for thread in coordinator._threads)
 
+    def test_finished_run_drains_a_worker_slow_to_ask_again(self):
+        """``run()`` returns on the last merged shard and shuts down: a
+        worker that sends its next ``ready`` a moment later is still
+        drained, not cut off as if its coordinator had vanished."""
+
+        class SlowToAsk(ClusterWorker):
+            def _send(self, message):
+                if message["type"] == "ready" and self.results:
+                    time.sleep(0.5)
+                if message["type"] == "result":
+                    self.results += 1
+                super()._send(message)
+
+        coordinator = Coordinator(_config(shards=2))
+        coordinator.start()
+        workers = [SlowToAsk(coordinator.address, name=f"slow-{i}") for i in range(2)]
+        boxes: list[list] = [[], []]
+        threads = []
+        for worker, box in zip(workers, boxes):
+            worker.results = 0
+            thread = threading.Thread(
+                target=lambda w=worker, b=box: b.append(w.run()), daemon=True
+            )
+            thread.start()
+            threads.append(thread)
+        coordinator.run(timeout=60.0)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        summaries = [box[0] for box in boxes]
+        assert sum(s.shards_completed for s in summaries) == 2
+        assert coordinator.stats.local_fallback_shards == 0
+        assert not any(s.disconnected for s in summaries)
+
     def test_loss_during_shutdown_is_not_a_strike(self):
         """A drain that races the shutdown socket teardown must not be
         booked as a worker loss (that would strike — and potentially

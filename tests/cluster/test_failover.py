@@ -404,12 +404,8 @@ class TestLiveFailover:
         )
         thread.start()
         try:
-            # kill mid-shard: a shutdown that meets the worker's ``ready``
-            # drains it, and a drain rightly ends a worker.
             deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline and not (
-                _journaled_shards(path) >= 1 and primary.stats.assignments >= 2
-            ):
+            while time.monotonic() < deadline and _journaled_shards(path) < 1:
                 time.sleep(0.01)
             assert _journaled_shards(path) >= 1, "no shard journaled before the kill"
             primary.shutdown()
@@ -425,6 +421,59 @@ class TestLiveFailover:
         assert standby.stats.local_fallback_shards == 0
         assert fingerprint(result) == fingerprint(cold_result)
         assert box and box[0].failovers >= 1 and box[0].shards_completed >= 2
+
+    def test_worker_between_shards_fails_over_on_graceful_stop(
+        self, tmp_path, cold_result
+    ):
+        """A primary stopped in process (``shutdown()``) while a
+        two-address worker waits for work hangs up instead of draining
+        it: the worker moves to the adopted standby and finishes the
+        scan there. A raw connection holds the last shard meanwhile, so
+        the worker is parked, not mid-shard, when the primary stops."""
+        path = tmp_path / "run.ledger"
+        primary = Coordinator(_config(), ledger=path, local_fallback=False)
+        primary.start()
+        standby = StandbyCoordinator(
+            _config(), primary=primary.address, ledger=path,
+            probe_interval=0.05, probe_failures=2,
+        )
+        standby.start()
+        holder = socket.create_connection(primary.address, timeout=10.0)
+        send_message(holder, {"type": "hello", "worker": "holder",
+                              "protocol": PROTOCOL_VERSION})
+        assert recv_message(holder)["type"] == "welcome"
+        send_message(holder, {"type": "ready"})
+        assert recv_message(holder)["type"] == "assign"
+        worker = ClusterWorker([primary.address, standby.address], name="parked")
+        box: list = []
+        thread = threading.Thread(
+            target=lambda: box.append(worker.run()), name="parked", daemon=True
+        )
+        thread.start()
+        try:
+            deadline = time.monotonic() + 120.0
+            while (
+                time.monotonic() < deadline
+                and primary.capacity_snapshot().completed < SHARDS - 1
+            ):
+                time.sleep(0.01)
+            assert primary.capacity_snapshot().completed == SHARDS - 1
+            primary.shutdown()
+            assert standby.wait_for_primary_death(timeout=30.0)
+            result = standby.adopt_and_run(timeout=30.0)
+        finally:
+            holder.close()
+            standby.shutdown()
+            thread.join(timeout=30.0)
+            worker.stop()
+        assert not thread.is_alive()
+        assert standby.stats.resumed_shards == SHARDS - 1
+        assert standby.stats.local_fallback_shards == 0
+        assert fingerprint(result) == fingerprint(cold_result)
+        summary = box[0]
+        assert summary.failovers >= 1 and summary.shards_completed == SHARDS
+        # the adopted run drained it at the end
+        assert not summary.disconnected
 
 
 def _primary_main(path: str, port: int) -> None:

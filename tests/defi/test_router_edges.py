@@ -57,8 +57,7 @@ class TestRouter:
             100 * token.unit, 0, (pair.address,), token.address,
         )
         detector = world.detector()
-        tagged = detector.tagger.tag_transfers(trace.transfers)
-        app_transfers = detector.simplifier.simplify(tagged)
+        app_transfers = detector.simplifier.simplify(trace.transfers, detector.tagger.tags())
         trades = detector.trade_identifier.identify(app_transfers)
         assert len(trades) == 1
         assert trades[0].kind is TradeKind.SWAP

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.chain import BLACKHOLE, Chain, Contract
-from repro.leishen import AccountTagger, BLACKHOLE_TAG, LabelDatabase, app_name_of_label
+from repro.leishen import (
+    AccountTagger,
+    BLACKHOLE_TAG,
+    LabelDatabase,
+    TransferSimplifier,
+    app_name_of_label,
+)
 
 
 class Dummy(Contract):
@@ -109,8 +115,8 @@ class TestTagTransfers:
         token.mint(a, 10)
         trace = chain.transact(a, token.address, "transfer", b, 10)
         tagger = AccountTagger(chain)
-        tagged = tagger.tag_transfers(trace.transfers)
-        assert len(tagged) == 1
-        t = tagged[0]
-        assert t.tag_sender == str(a) and t.tag_receiver == str(b)
+        lifted = TransferSimplifier().simplify(trace.transfers, tagger.tags())
+        assert len(lifted) == 1
+        t = lifted[0]
+        assert t.sender == str(a) and t.receiver == str(b)
         assert t.amount == 10 and t.token == token.address

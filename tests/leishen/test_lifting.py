@@ -21,10 +21,10 @@ from repro.leishen import (
     AppTransfer,
     BLACKHOLE_TAG,
     SimplifierConfig,
-    TaggedTransfer,
     TradeIdentifier,
     TransferSimplifier,
 )
+from tests.tagged import TaggedTransfer, simplify_tagged
 
 #: the vector path's row threshold; batch sizes scale with it, so it
 #: stays at 32 to regenerate exactly the batches the digests pin.
@@ -134,7 +134,7 @@ class TestSimplifyEquality:
     def test_vector_matches_object_path(self, seed):
         rng = random.Random(seed)
         rows = random_tagged(rng, rng.randrange(0, 3 * ROWS))
-        out = make_simplifier().simplify(rows)
+        out = simplify_tagged(make_simplifier(), rows)
         assert (len(rows), len(out), digest(out)) == SIMPLIFY_PINS[seed]
 
 
@@ -151,5 +151,5 @@ class TestIdentifyEquality:
         # simplify -> identify, end to end.
         rng = random.Random(3000 + seed)
         rows = random_tagged(rng, rng.randrange(4, 2 * ROWS))
-        out = TradeIdentifier().identify(make_simplifier().simplify(rows))
+        out = TradeIdentifier().identify(simplify_tagged(make_simplifier(), rows))
         assert (len(rows), len(out), digest(out)) == PIPELINE_PINS[seed]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.chain import Address, ETHER
-from repro.leishen import SimplifierConfig, TaggedTransfer, TransferSimplifier
+from repro.leishen import SimplifierConfig, TransferSimplifier
+from tests.tagged import TaggedTransfer, simplify_tagged
 
 TOKEN = Address("0x" + "77" * 20)
 WETH_TOKEN = Address("0x" + "88" * 20)
@@ -25,20 +26,20 @@ def simplifier(**overrides):
 
 class TestIntraApp:
     def test_removed(self):
-        out = simplifier().simplify([tagged(1, "Uniswap", "Uniswap", 10)])
+        out = simplify_tagged(simplifier(), [tagged(1, "Uniswap", "Uniswap", 10)])
         assert out == []
 
     def test_inter_app_kept(self):
-        out = simplifier().simplify([tagged(1, "A", "B", 10)])
+        out = simplify_tagged(simplifier(), [tagged(1, "A", "B", 10)])
         assert len(out) == 1
 
     def test_untagged_kept(self):
-        out = simplifier().simplify([tagged(1, None, None, 10)])
+        out = simplify_tagged(simplifier(), [tagged(1, None, None, 10)])
         assert len(out) == 1
 
     def test_disabled(self):
-        out = simplifier(remove_intra_app=False).simplify(
-            [tagged(1, "Uniswap", "Uniswap", 10)]
+        out = simplify_tagged(
+            simplifier(remove_intra_app=False), [tagged(1, "Uniswap", "Uniswap", 10)]
         )
         assert len(out) == 1
 
@@ -49,15 +50,15 @@ class TestWeth:
             tagged(1, "A", "Wrapped Ether", 10),
             tagged(2, "Wrapped Ether", "A", 10, token=WETH_TOKEN),
         ]
-        assert simplifier().simplify(transfers) == []
+        assert simplify_tagged(simplifier(), transfers) == []
 
     def test_weth_token_unified_to_ether(self):
-        out = simplifier().simplify([tagged(1, "A", "B", 10, token=WETH_TOKEN)])
+        out = simplify_tagged(simplifier(), [tagged(1, "A", "B", 10, token=WETH_TOKEN)])
         assert out[0].token == ETHER
 
     def test_disabled_keeps_weth(self):
-        out = simplifier(remove_weth=False).simplify(
-            [tagged(1, "A", "B", 10, token=WETH_TOKEN)]
+        out = simplify_tagged(
+            simplifier(remove_weth=False), [tagged(1, "A", "B", 10, token=WETH_TOKEN)]
         )
         assert out[0].token == WETH_TOKEN
 
@@ -65,24 +66,24 @@ class TestWeth:
 class TestMerge:
     def test_exact_relay_merged(self):
         transfers = [tagged(1, "A", "Kyber", 100), tagged(2, "Kyber", "B", 100)]
-        out = simplifier().simplify(transfers)
+        out = simplify_tagged(simplifier(), transfers)
         assert len(out) == 1
         assert (out[0].sender, out[0].receiver, out[0].amount) == ("A", "B", 100)
 
     def test_fee_within_tolerance_merged(self):
         transfers = [tagged(1, "A", "Kyber", 100_000), tagged(2, "Kyber", "B", 99_950)]
-        out = simplifier().simplify(transfers)
+        out = simplify_tagged(simplifier(), transfers)
         assert len(out) == 1
         assert out[0].amount == 99_950  # delivered amount wins
 
     def test_fee_beyond_tolerance_not_merged(self):
         transfers = [tagged(1, "A", "Kyber", 100_000), tagged(2, "Kyber", "B", 98_000)]
-        assert len(simplifier().simplify(transfers)) == 2
+        assert len(simplify_tagged(simplifier(), transfers)) == 2
 
     def test_different_token_not_merged(self):
         other = Address("0x" + "66" * 20)
         transfers = [tagged(1, "A", "K", 100), tagged(2, "K", "B", 100, token=other)]
-        assert len(simplifier().simplify(transfers)) == 2
+        assert len(simplify_tagged(simplifier(), transfers)) == 2
 
     def test_chain_of_relays_merges_to_fixpoint(self):
         transfers = [
@@ -90,28 +91,28 @@ class TestMerge:
             tagged(2, "K1", "K2", 100),
             tagged(3, "K2", "B", 100),
         ]
-        out = simplifier().simplify(transfers)
+        out = simplify_tagged(simplifier(), transfers)
         assert len(out) == 1
         assert (out[0].sender, out[0].receiver) == ("A", "B")
 
     def test_round_trip_through_intermediary_cancels(self):
         # A -> K -> A becomes intra-app and disappears entirely
         transfers = [tagged(1, "A", "K", 100), tagged(2, "K", "A", 100)]
-        assert simplifier().simplify(transfers) == []
+        assert simplify_tagged(simplifier(), transfers) == []
 
     def test_sender_equals_intermediary_not_merged(self):
         transfers = [tagged(1, "K", "K2", 100), tagged(2, "K2", "K", 100)]
         # relay back to origin is a round trip, not a pass-through
-        assert simplifier().simplify(transfers) == []
+        assert simplify_tagged(simplifier(), transfers) == []
 
     def test_disabled(self):
         transfers = [tagged(1, "A", "K", 100), tagged(2, "K", "B", 100)]
-        out = simplifier(merge_inter_app=False).simplify(transfers)
+        out = simplify_tagged(simplifier(merge_inter_app=False), transfers)
         assert len(out) == 2
 
     def test_untagged_intermediary_not_merged(self):
         transfers = [tagged(1, "A", None, 100), tagged(2, None, "B", 100)]
-        assert len(simplifier().simplify(transfers)) == 2
+        assert len(simplify_tagged(simplifier(), transfers)) == 2
 
 
 class TestEndToEnd:
@@ -120,8 +121,9 @@ class TestEndToEnd:
         as a direct bZx <-> Uniswap exchange (Kyber hop merged)."""
         world = bzx1_outcome.world
         detector = world.detector()
-        tagged_transfers = detector.tagger.tag_transfers(bzx1_outcome.trace.transfers)
-        app_transfers = detector.simplifier.simplify(tagged_transfers)
+        app_transfers = detector.simplifier.simplify(
+            bzx1_outcome.trace.transfers, detector.tagger.tags()
+        )
         pairs = {(t.sender, t.receiver) for t in app_transfers}
         assert ("bZx", "Uniswap") in pairs
         assert ("Uniswap", "bZx") in pairs

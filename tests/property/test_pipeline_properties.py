@@ -8,11 +8,11 @@ from repro.leishen import (
     PatternMatcher,
     PatternSettings,
     SimplifierConfig,
-    TaggedTransfer,
     Trade,
     TradeKind,
     TransferSimplifier,
 )
+from tests.tagged import TaggedTransfer, simplify_tagged
 
 TOKENS = [Address("0x" + f"{i + 1:02x}" * 20) for i in range(3)]
 TAGS = ["A", "B", "Kyber", "Vault", None]
@@ -46,14 +46,14 @@ class TestSimplifierProperties:
     @given(st.lists(tagged_transfer, max_size=25))
     @settings(max_examples=80)
     def test_no_intra_app_output(self, transfers):
-        out = TransferSimplifier(SimplifierConfig()).simplify(transfers)
+        out = simplify_tagged(TransferSimplifier(SimplifierConfig()), transfers)
         assert not any(t.sender == t.receiver and t.sender is not None for t in out)
 
     @given(st.lists(tagged_transfer, max_size=25))
     @settings(max_examples=80)
     def test_idempotent_on_own_output(self, transfers):
         simplifier = TransferSimplifier(SimplifierConfig())
-        once = simplifier.simplify(transfers)
+        once = simplify_tagged(simplifier, transfers)
         as_tagged = [
             TaggedTransfer(
                 seq=t.seq, tag_sender=t.sender, tag_receiver=t.receiver,
@@ -61,7 +61,7 @@ class TestSimplifierProperties:
             )
             for t in once
         ]
-        assert simplifier.simplify(as_tagged) == once
+        assert simplify_tagged(simplifier, as_tagged) == once
 
     @given(st.lists(tagged_transfer, max_size=25))
     @settings(max_examples=80)
@@ -69,7 +69,7 @@ class TestSimplifierProperties:
         """Merging relays must not change what A and B net-receive
         (intermediary fee differences are bounded by the tolerance)."""
         config = SimplifierConfig(merge_tolerance=0.0)  # exact merges only
-        out = TransferSimplifier(config).simplify(transfers)
+        out = simplify_tagged(TransferSimplifier(config), transfers)
         before = net_flows(transfers)
         after = net_flows(out)
         for key in set(before) | set(after):
@@ -80,7 +80,7 @@ class TestSimplifierProperties:
     @given(st.lists(tagged_transfer, max_size=25))
     @settings(max_examples=50)
     def test_output_never_longer(self, transfers):
-        out = TransferSimplifier(SimplifierConfig()).simplify(transfers)
+        out = simplify_tagged(TransferSimplifier(SimplifierConfig()), transfers)
         assert len(out) <= len(transfers)
 
 

@@ -2,20 +2,28 @@
 
 The merge fixpoint of ``TransferSimplifier``, ``FlashLoanIdentifier``
 and ``TradeIdentifier`` were rewritten for speed, and so were the
-middle-trade searches of SBS and SANDWICH. The earlier loops are kept
-below unchanged as references, and generated inputs must give equal
-output from both:
+middle-trade searches of SBS and SANDWICH, the series walk of KRP, the
+round search of DONATION, and the lifting of account-level transfers,
+once tagging, then simplification, now one pass. The earlier code is
+kept below unchanged as references, and generated inputs must give
+equal output from both:
 
 - transfer lists with relay chains of 2-5 hops, amounts at the merge
   tolerance border, ``None`` tags, BlackHole legs and ``A -> I -> A``
-  loops;
+  loops; for the lifting pass, the same shapes as account-level
+  transfers over a chain with labelled and conflicting creation trees,
+  a Wrapped Ether contract and fee burns, under each of the eight rule
+  toggles and with application-level transfers off;
 - traces with several swaps open at once, duplicate providers and
   incomplete provider fingerprints;
 - trade lists of up to 60 trades in two quote tokens and on two venues,
   with tied seqs, amounts at the pattern's tolerance border, zero
   amounts (infinite rates), wei-scale amounts, and amounts whose rate
   overflows a float. The searches must return the same match, the very
-  same trades, or raise the same exception.
+  same trades, or raise the same exception;
+- for KRP and DONATION, trade lists with tied seqs, rates that rise,
+  plateau and dip, zero amounts, and amounts at the tolerance and gain
+  borders.
 
 The pass order of the merge decides which hops merge, and the
 tolerance test is a division: both are pinned by explicit examples.
@@ -26,22 +34,36 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain import Address, ETHER
+from repro.chain import ZERO_ADDRESS, Address, Chain, Contract, ETHER
 from repro.chain.trace import CallRecord, LogRecord, TransactionTrace, TransferRecord
 from repro.leishen import (
+    ALL_PATTERN_KEYS,
     BLACKHOLE_TAG,
+    AccountTagger,
     AppTransfer,
+    AttackReport,
     FlashLoanIdentifier,
+    LeiShen,
+    LeiShenConfig,
+    PatternSettings,
     SimplifierConfig,
     TradeIdentifier,
     TransferSimplifier,
 )
 from repro.leishen.identify import FlashLoan
-from repro.leishen.registry import SandwichFrontrun, SymmetricBuySell, _match
+from repro.leishen.registry import (
+    DonationInflation,
+    KeepRaisingPrice,
+    SandwichFrontrun,
+    SymmetricBuySell,
+    _match,
+)
 from repro.leishen.trades import Trade, TradeKind
+from tests.tagged import TaggedTransfer
 
 TOLERANCE = SimplifierConfig().merge_tolerance
 TOKENS = (ETHER, *(Address("0x" + f"{i:02x}" * 20) for i in (1, 2, 3)))
@@ -201,7 +223,7 @@ class ReferenceTradeIdentifier(TradeIdentifier):
     """The windowed scan with list-taking ``_match2`` / ``_match3``."""
 
     def identify(self, transfers: list[AppTransfer]) -> list[Trade]:
-        transfers = self._strip_fee_burns(transfers)
+        transfers = ReferenceLifting.strip_fee_burns(transfers)
         trades: list[Trade] = []
         i = 0
         n = len(transfers)
@@ -389,6 +411,192 @@ class ReferenceSandwich(SandwichFrontrun):
                         ),
                     )
         return None
+
+
+class ReferenceKeepRaisingPrice(KeepRaisingPrice):
+    """KRP rebuilding the prior buys and their per-seller series per sell."""
+
+    def match(self, trades, borrower, params):
+        min_buys = params["min_buys"]
+        matches = []
+        for token in {t.token_buy: None for t in trades if t.buyer == borrower}:
+            buys = [t for t in trades if t.buyer == borrower and t.token_buy == token]
+            sells = [t for t in trades if t.buyer == borrower and t.token_sell == token]
+            if not sells:
+                continue
+            for sell in sells:
+                prior = [b for b in buys if b.seq < sell.seq]
+                by_seller: dict = {}
+                for buy in prior:
+                    by_seller.setdefault(buy.seller, []).append(buy)
+                for seller, series in by_seller.items():
+                    if len(series) < min_buys:
+                        continue
+                    rates = [buy.sell_rate for buy in series]
+                    rising = rates[0] < rates[-1] and all(
+                        earlier <= later for earlier, later in zip(rates, rates[1:])
+                    )
+                    first, last = series[0], series[-1]
+                    if rising:
+                        matches.append(
+                            _match(
+                                self.key,
+                                token,
+                                (*series, sell),
+                                (
+                                    ("n_buys", len(series)),
+                                    ("first_rate", first.sell_rate),
+                                    ("last_rate", last.sell_rate),
+                                    ("seller", str(seller)),
+                                ),
+                            )
+                        )
+                        break  # one match per (token, sell) is enough
+                else:
+                    continue
+                break  # token matched; move on
+        return matches
+
+
+class ReferenceDonation(DonationInflation):
+    """DONATION trying every deposit against every removal."""
+
+    def match(self, trades, borrower, params):
+        tol = params["amount_tolerance"]
+        min_gain = params["min_gain"]
+        matches = []
+        deposits = [
+            t for t in trades if t.buyer == borrower and t.kind is TradeKind.MINT_LIQUIDITY
+        ]
+        removals = [
+            t for t in trades if t.buyer == borrower and t.kind is TradeKind.REMOVE_LIQUIDITY
+        ]
+        seen: set = set()
+        for t1 in deposits:
+            if t1.token_buy in seen:
+                continue
+            for t2 in removals:
+                if t2.seq <= t1.seq:
+                    continue
+                if t2.token_sell != t1.token_buy or t2.token_buy != t1.token_sell:
+                    continue  # not the same share/underlying pair
+                if t1.seller != t2.seller:
+                    continue
+                big = max(t1.amount_buy, t2.amount_sell)
+                if big == 0 or abs(t1.amount_buy - t2.amount_sell) / big > tol:
+                    continue  # share amounts must round-trip
+                if t1.amount_sell <= 0:
+                    continue
+                gain = (t2.amount_buy - t1.amount_sell) / t1.amount_sell
+                if gain < min_gain:
+                    continue
+                seen.add(t1.token_buy)
+                matches.append(
+                    _match(
+                        self.key,
+                        t1.token_buy,
+                        (t1, t2),
+                        (
+                            ("gain", gain),
+                            ("deposit", float(t1.amount_sell)),
+                        ),
+                    )
+                )
+                break
+        return matches
+
+
+class ReferenceLifting:
+    """Lifting as two stages: every transfer tagged into a
+    ``TaggedTransfer`` list, then rules 1-2 as a filter and rule 3 as
+    :class:`ReferenceSimplifier`'s fixpoint; fee burns stripped by a
+    copy that is always made."""
+
+    def __init__(self, tagger: AccountTagger, config: SimplifierConfig) -> None:
+        self.tagger = tagger
+        self.config = config
+
+    def tag_transfers(self, transfers) -> list[TaggedTransfer]:
+        tag_of = self.tagger.tag_of
+        return [
+            TaggedTransfer(
+                t.seq, tag_of(t.sender), tag_of(t.receiver), t.amount, t.token,
+                t.sender, t.receiver,
+            )
+            for t in transfers
+        ]
+
+    def simplify(self, tagged: list[TaggedTransfer]) -> list[AppTransfer]:
+        cfg = self.config
+        transfers = []
+        for t in tagged:
+            sender = t.tag_sender
+            receiver = t.tag_receiver
+            if cfg.remove_intra_app and sender is not None and sender == receiver:
+                continue
+            if cfg.remove_weth:
+                if sender == cfg.weth_tag or receiver == cfg.weth_tag:
+                    continue
+                token = ETHER if t.token in cfg.weth_tokens else t.token
+            else:
+                token = t.token
+            transfers.append(AppTransfer(t.seq, sender, receiver, t.amount, token))
+        if cfg.merge_inter_app:
+            transfers = ReferenceSimplifier(cfg)._merge_inter_app(transfers)
+        return transfers
+
+    @staticmethod
+    def strip_fee_burns(transfers: list[AppTransfer]) -> list[AppTransfer]:
+        cleaned = []
+        for idx, transfer in enumerate(transfers):
+            if (
+                transfer.receiver == BLACKHOLE_TAG
+                and idx > 0
+                and (prev := transfers[idx - 1]).token == transfer.token
+                and transfer.sender in (prev.sender, prev.receiver)
+                and transfer.amount <= prev.amount * TradeIdentifier.FEE_BURN_RATIO
+            ):
+                continue
+            cleaned.append(transfer)
+        return cleaned
+
+
+class ReferenceLeiShen(LeiShen):
+    """``analyze`` with the two-stage lifting: the ablation
+    (``use_app_level_transfers=False``) still tags every transfer, then
+    drops the tags."""
+
+    def analyze(self, trace: TransactionTrace) -> AttackReport | None:
+        if not trace.success:
+            return None
+        flash_loans = self.identifier.identify(trace)
+        if not flash_loans:
+            return None
+        borrowers = tuple(dict.fromkeys(loan.borrower for loan in flash_loans))
+        lifting = ReferenceLifting(self.tagger, self.config.simplifier)
+        tagged = lifting.tag_transfers(trace.transfers)
+        if self.config.use_app_level_transfers:
+            app_transfers = lifting.simplify(tagged)
+            borrower_tags = tuple(map(self.tagger.tag_of, borrowers))
+        else:
+            app_transfers = [
+                AppTransfer(
+                    t.seq, str(t.sender),
+                    str(t.receiver) if t.receiver != ZERO_ADDRESS else "BlackHole",
+                    t.amount, t.token,
+                )
+                for t in trace.transfers
+            ]
+            borrower_tags = tuple(map(str, borrowers))
+        trades = ReferenceTradeIdentifier().identify(app_transfers)
+        matches = []
+        for tag in dict.fromkeys(borrower_tags):
+            if tag is not None:
+                matches.extend(self.matcher.match(trades, tag))
+        return AttackReport(
+            trace.tx_hash, flash_loans, borrowers[0], borrower_tags[0], trades,
+            matches, borrowers, borrower_tags, None, trace,
+        )
 
 
 # -- generators -------------------------------------------------------------------
@@ -595,14 +803,184 @@ def pattern_trades(draw, tolerance: float) -> list[Trade]:
     return trades
 
 
-def _outcome(plugin, trades):
+def _outcome(plugin, trades, params=None):
     """A plugin's matches with the identity of each matched trade, or the
     exception it raised."""
     try:
-        matches = plugin.match(trades, BORROWER, plugin.defaults)
+        matches = plugin.match(trades, BORROWER, params or plugin.defaults)
     except OverflowError as exc:
         return ("raised", str(exc))
     return matches, [[id(trade) for trade in match.trades] for match in matches]
+
+
+class _Account(Contract):
+    """A contract that only holds a place in a creation tree."""
+
+
+def _lifting_world() -> tuple[Chain, tuple[Address, ...]]:
+    """A chain whose accounts cover every tagging case, and the accounts:
+    plain EOAs (own-address tags), a labelled and an unlabelled creation
+    tree (an application name; the root's address), a tree whose labels
+    conflict (``None``), an intermediary app, Wrapped Ether and the
+    BlackHole."""
+    chain = Chain()
+    accounts = [chain.create_eoa(), chain.create_eoa()]
+    uniswap = chain.create_eoa(label="Uniswap: Deployer")
+    accounts += [uniswap, chain.deploy(uniswap, _Account).address]
+    kyber = chain.deploy(chain.create_eoa(), _Account, label="Kyber: Proxy").address
+    accounts += [kyber, chain.deploy(kyber, _Account).address]
+    root = chain.create_eoa()
+    accounts += [chain.deploy(root, _Account).address, chain.deploy(root, _Account).address]
+    yearn = chain.create_eoa(label="Yearn: Deployer")
+    mid = chain.deploy(yearn, _Account).address
+    accounts += [mid, chain.deploy(mid, _Account, label="Curve: Pool").address]
+    weth = chain.deploy(chain.create_eoa(), _Account, label="Wrapped Ether: WETH").address
+    accounts += [weth, ZERO_ADDRESS]
+    return chain, tuple(accounts)
+
+
+LIFTING_CHAIN, LIFTING_ACCOUNTS = _lifting_world()
+WETH_TOKEN = TOKENS[3]
+lifting_account = st.sampled_from(LIFTING_ACCOUNTS)
+lifting_amount = st.one_of(st.integers(0, 10**6), st.integers(10**17, 10**25))
+
+
+@st.composite
+def account_relay(draw) -> list[tuple]:
+    """``A -> I1 -> ... -> B`` between accounts over 2-5 hops, amounts at
+    the merge border; sometimes back to ``A``, sometimes with a fee burn
+    from a hop's sender."""
+    hops = draw(st.integers(2, 5))
+    path = [draw(lifting_account) for _ in range(hops + 1)]
+    if draw(st.booleans()):
+        path[-1] = path[0]
+    token = draw(st.sampled_from(TOKENS))
+    amount = draw(lifting_amount)
+    legs = []
+    for sender, receiver in zip(path, path[1:]):
+        legs.append((sender, receiver, amount, token))
+        if draw(st.integers(0, 5)) == 0:
+            legs.append((sender, ZERO_ADDRESS, amount // draw(st.sampled_from((4, 5, 6))), token))
+        amount = draw(border_amount(amount))
+    return legs
+
+
+account_leg = st.tuples(
+    lifting_account, lifting_account, lifting_amount, st.sampled_from(TOKENS)
+)
+
+account_transfers = st.lists(
+    st.one_of(account_relay(), account_leg.map(lambda leg: [leg])), max_size=8
+).map(
+    lambda groups: [
+        TransferRecord(seq, *leg)
+        for seq, leg in enumerate(leg for group in groups for leg in group)
+    ]
+)
+
+#: (remove_intra_app, remove_weth, merge_inter_app): all eight
+RULE_TOGGLES = list(itertools.product((True, False), repeat=3))
+
+
+def _simplifier_config(toggles) -> SimplifierConfig:
+    intra, weth, merge = toggles
+    return SimplifierConfig(
+        weth_tokens=frozenset({WETH_TOKEN}),
+        remove_intra_app=intra, remove_weth=weth, merge_inter_app=merge,
+    )
+
+
+def _flash_loan_trace(borrower: Address, transfers: list[TransferRecord]) -> TransactionTrace:
+    """``transfers`` in a transaction with AAVE's fingerprint for ``borrower``."""
+    seq = len(transfers)
+    trace = TransactionTrace(
+        tx_hash="0x" + "cd" * 32, sender=LIFTING_ACCOUNTS[0], to=borrower,
+        function="attack", block_number=1, timestamp=0,
+    )
+    trace.transfers.extend(transfers)
+    trace.calls.append(CallRecord(seq, LIFTING_ACCOUNTS[0], LIFTING_ACCOUNTS[1], "flashLoan", 0))
+    trace.logs.append(LogRecord(
+        seq + 1, LIFTING_ACCOUNTS[1], "FlashLoan",
+        (("target", borrower), ("reserve", TOKENS[1]), ("amount", 10)),
+    ))
+    return trace
+
+
+#: KRP's series: buys of the target from sellers V1-V3, each rate a step
+#: up, a plateau or a dip from the seller's last; zero amounts give rates
+#: of 0 and infinity, and an overflowing amount a rate that raises.
+KRP_STEPS = ("up", "up", "up", "flat", "flat", "dip", "zero_buy", "zero_sell", "overflow")
+KRP_EVENTS = ("buy", "buy", "buy", "sell", "other_token", "other_buyer")
+
+
+@st.composite
+def krp_trades(draw) -> list[Trade]:
+    """Up to 40 swaps in seq order with ties: the borrower's buys of the
+    target and of a second token, its sells of both, and another
+    buyer's trades."""
+    other = QUOTES[1]
+    rates: dict = {}
+    trades = []
+    seq = 0
+    for _ in range(draw(st.integers(0, 40))):
+        seq += draw(st.sampled_from((0, 1, 1)))
+        event = draw(st.sampled_from(KRP_EVENTS))
+        seller = draw(st.sampled_from(("V1", "V2", "V3")))
+        token = other if event == "other_token" and draw(st.booleans()) else TARGET
+        buyer = "C" if event == "other_buyer" else BORROWER
+        if event == "sell" or (event == "other_token" and draw(st.booleans())):
+            trades.append(Trade(seq, TradeKind.SWAP, buyer, seller, 10, token, 15, QUOTES[0]))
+            continue
+        step = draw(st.sampled_from(KRP_STEPS))
+        level = rates.get(seller, 10)
+        level = {"up": level + draw(st.integers(1, 3)), "dip": max(1, level - 1)}.get(step, level)
+        rates[seller] = level
+        amount_sell, amount_buy = {
+            "zero_buy": (level, 0), "zero_sell": (0, 5), "overflow": (10**400, 1),
+        }.get(step, (level, 5))
+        trades.append(Trade(
+            seq, TradeKind.SWAP, buyer, seller, amount_sell, QUOTES[0], amount_buy, token,
+        ))
+    return trades
+
+
+DONATION_TOLERANCE = DonationInflation.defaults["amount_tolerance"]
+DONATION_GAIN = DonationInflation.defaults["min_gain"]
+
+
+#: (venue, share token, underlying) of a round, skewed to the first
+DONATION_KEYS = (
+    ("V1", TOKENS[1], ETHER), ("V1", TOKENS[1], ETHER), ("V1", TOKENS[2], ETHER),
+    ("V2", TOKENS[1], ETHER), ("V1", TOKENS[1], TOKENS[3]),
+)
+
+
+@st.composite
+def donation_trades(draw) -> list[Trade]:
+    """Up to 30 mints and removals in seq order with ties, by the
+    borrower and another buyer, over a few (venue, share, underlying)
+    keys; share amounts at the tolerance border, payouts at the gain
+    border, and zero amounts."""
+    trades = []
+    seq = 0
+    for _ in range(draw(st.integers(0, 30))):
+        seq += draw(st.sampled_from((0, 1, 1)))
+        buyer = draw(st.sampled_from((BORROWER, BORROWER, "C")))
+        venue, share, underlying = draw(st.sampled_from(DONATION_KEYS))
+        base = draw(st.sampled_from((0, 1000, 10**18)))
+        deposit = draw(st.sampled_from((0, 1000, 4000)))
+        if draw(st.booleans()):
+            trades.append(Trade(
+                seq, TradeKind.MINT_LIQUIDITY, buyer, venue, deposit, underlying, base, share,
+            ))
+        else:
+            shares_back = draw(border_amount(base)) if base else 0
+            payout = deposit + int(deposit * DONATION_GAIN) + draw(st.integers(-2, 2))
+            trades.append(Trade(
+                seq, TradeKind.REMOVE_LIQUIDITY, buyer, venue,
+                shares_back, share, max(0, payout), underlying,
+            ))
+    return trades
 
 
 # -- the differential tests ----------------------------------------------------------
@@ -818,3 +1196,154 @@ class TestMiddleTradeSearch:
             (match,) = plugin.match(trades, BORROWER, plugin.defaults)
             assert match.trades[1] is trades[1]
             assert _outcome(plugin, trades) == _outcome(reference, trades)
+
+
+class TestLiftingPass:
+    @pytest.mark.parametrize("toggles", RULE_TOGGLES)
+    @given(account_transfers)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_stage_reference(self, toggles, transfers):
+        config = _simplifier_config(toggles)
+        lifted = TransferSimplifier(config).simplify(
+            transfers, AccountTagger(LIFTING_CHAIN).tags()
+        )
+        reference = ReferenceLifting(AccountTagger(LIFTING_CHAIN), config)
+        expected = reference.simplify(reference.tag_transfers(transfers))
+        assert lifted == expected
+        assert TradeIdentifier().identify(lifted) == (
+            ReferenceTradeIdentifier().identify(expected)
+        )
+
+    @pytest.mark.parametrize("app_level", [True, False], ids=["app", "account"])
+    @pytest.mark.parametrize("toggles", RULE_TOGGLES)
+    @given(account_transfers, lifting_account)
+    @settings(max_examples=25, deadline=None)
+    def test_analyze_matches_reference(self, toggles, app_level, transfers, borrower):
+        config = LeiShenConfig(
+            simplifier=_simplifier_config(toggles),
+            patterns=PatternSettings(enabled=ALL_PATTERN_KEYS),
+            use_app_level_transfers=app_level,
+        )
+        trace = _flash_loan_trace(borrower, transfers)
+        report = LeiShen(LIFTING_CHAIN, config).analyze(trace)
+        expected = ReferenceLeiShen(LIFTING_CHAIN, config).analyze(trace)
+        assert report == expected
+        assert repr(report) == repr(expected)
+
+    def test_world_covers_every_tag_kind(self):
+        tags = [AccountTagger(LIFTING_CHAIN).tag_of(a) for a in LIFTING_ACCOUNTS]
+        assert None in tags
+        assert {"Uniswap", "Kyber", "Wrapped Ether", BLACKHOLE_TAG} <= set(tags)
+        assert str(LIFTING_ACCOUNTS[0]) in tags  # a plain EOA's own address
+
+    def test_ablation_tags_nothing(self):
+        # account-level transfers need no tag, the borrower's included
+        config = LeiShenConfig(use_app_level_transfers=False)
+        detector = LeiShen(LIFTING_CHAIN, config)
+        borrower = LIFTING_ACCOUNTS[3]
+        transfers = [TransferRecord(0, borrower, LIFTING_ACCOUNTS[5], 10, TOKENS[1])]
+        report = detector.analyze(_flash_loan_trace(borrower, transfers))
+        assert report.borrower_tag == str(borrower)
+        assert len(detector.tagger.tags()) == 0
+
+
+class TestSeriesAndRoundSearch:
+    @given(krp_trades(), st.sampled_from((1, 2, 3, 5)))
+    @settings(max_examples=300, deadline=None)
+    def test_krp_matches_reference(self, trades, min_buys):
+        params = {"min_buys": min_buys}
+        assert _outcome(KeepRaisingPrice(), trades, params) == (
+            _outcome(ReferenceKeepRaisingPrice(), trades, params)
+        )
+
+    @given(donation_trades())
+    @settings(max_examples=300, deadline=None)
+    def test_donation_matches_reference(self, trades):
+        assert _outcome(DonationInflation(), trades) == (
+            _outcome(ReferenceDonation(), trades)
+        )
+
+    @staticmethod
+    def _buy(seq, seller, amount_sell, amount_buy=5):
+        return Trade(seq, TradeKind.SWAP, BORROWER, seller, amount_sell, QUOTES[0],
+                     amount_buy, TARGET)
+
+    @staticmethod
+    def _sell(seq, seller="V1"):
+        return Trade(seq, TradeKind.SWAP, BORROWER, seller, 10, TARGET, 15, QUOTES[0])
+
+    def test_krp_buys_tied_with_the_sell_are_not_prior(self):
+        # the fifth rising buy shares the sell's seq: no match until a
+        # later sell
+        trades = [self._buy(i, "V1", 10 + i) for i in range(4)]
+        trades += [self._buy(4, "V1", 20), self._sell(4)]
+        assert KeepRaisingPrice().match(trades, BORROWER, {"min_buys": 5}) == []
+        trades.append(self._sell(5))
+        (match,) = KeepRaisingPrice().match(trades, BORROWER, {"min_buys": 5})
+        assert match.trades[-1] is trades[-1]
+        assert _outcome(KeepRaisingPrice(), trades) == (
+            _outcome(ReferenceKeepRaisingPrice(), trades)
+        )
+
+    def test_krp_first_seen_seller_wins(self):
+        # V2 qualifies first in time, but V1 was seen first
+        trades = [self._buy(0, "V1", 10), self._buy(1, "V2", 10), self._buy(2, "V2", 11)]
+        trades += [self._buy(3, "V1", 12), self._sell(4)]
+        (match,) = KeepRaisingPrice().match(trades, BORROWER, {"min_buys": 2})
+        assert match.detail("seller") == "V1"
+        assert _outcome(KeepRaisingPrice(), trades, {"min_buys": 2}) == (
+            _outcome(ReferenceKeepRaisingPrice(), trades, {"min_buys": 2})
+        )
+
+    def test_krp_plateau_rises_but_a_dip_never_recovers(self):
+        plateau = [self._buy(0, "V1", 10), self._buy(1, "V1", 10), self._buy(2, "V1", 11)]
+        assert KeepRaisingPrice().match([*plateau, self._sell(3)], BORROWER, {"min_buys": 3})
+        dip = [self._buy(0, "V1", 10), self._buy(1, "V1", 9), self._buy(2, "V1", 30)]
+        trades = [*dip, self._sell(3), self._buy(4, "V1", 40), self._sell(5)]
+        assert KeepRaisingPrice().match(trades, BORROWER, {"min_buys": 3}) == []
+        assert _outcome(KeepRaisingPrice(), trades, {"min_buys": 3}) == (
+            _outcome(ReferenceKeepRaisingPrice(), trades, {"min_buys": 3})
+        )
+
+    def test_krp_overflow_raises_only_in_a_counted_series(self):
+        # the overflowing buy's series has too few buys to be tested
+        trades = [self._buy(0, "V2", 10**400, 1), *(self._buy(i, "V1", 10 + i) for i in (1, 2))]
+        trades.append(self._sell(3))
+        assert KeepRaisingPrice().match(trades, BORROWER, {"min_buys": 2})
+        outcome = _outcome(KeepRaisingPrice(), trades, {"min_buys": 1})
+        assert outcome[0] == "raised"
+        assert outcome == _outcome(ReferenceKeepRaisingPrice(), trades, {"min_buys": 1})
+
+    def test_donation_rounds_pair_by_share_underlying_and_venue(self):
+        deposit = Trade(0, TradeKind.MINT_LIQUIDITY, BORROWER, "V1", 1000, ETHER, 500, TARGET)
+        wrong_venue = Trade(1, TradeKind.REMOVE_LIQUIDITY, BORROWER, "V2", 500, TARGET, 2000, ETHER)
+        right = Trade(2, TradeKind.REMOVE_LIQUIDITY, BORROWER, "V1", 500, TARGET, 1250, ETHER)
+        trades = [deposit, wrong_venue, right]
+        (match,) = DonationInflation().match(trades, BORROWER, DonationInflation.defaults)
+        assert match.trades == (deposit, right)
+        assert match.detail("gain") == DONATION_GAIN
+        assert _outcome(DonationInflation(), trades) == _outcome(ReferenceDonation(), trades)
+
+    def test_donation_first_round_trip_in_seq_wins(self):
+        # three removals within the tolerance of the 1,000 minted shares,
+        # above, below and at it: the first in seq wins, and a payout a
+        # hair under the gain bound is passed over
+        deposit = Trade(0, TradeKind.MINT_LIQUIDITY, BORROWER, "V1", 1000, ETHER, 1000, TARGET)
+
+        def removal(seq, shares, payout=1250):
+            return Trade(seq, TradeKind.REMOVE_LIQUIDITY, BORROWER, "V1", shares, TARGET,
+                         payout, ETHER)
+
+        for shares in ((1001, 999, 1000), (999, 1001, 1000), (1000, 1001, 999)):
+            trades = [deposit, removal(1, 1002), removal(2, shares[0], 1249)]
+            trades += [removal(3 + i, amount) for i, amount in enumerate(shares)]
+            (match,) = DonationInflation().match(trades, BORROWER, DonationInflation.defaults)
+            assert match.trades == (deposit, trades[3])
+            assert _outcome(DonationInflation(), trades) == _outcome(ReferenceDonation(), trades)
+
+    def test_donation_removal_tied_with_the_deposit_is_not_after_it(self):
+        deposit = Trade(3, TradeKind.MINT_LIQUIDITY, BORROWER, "V1", 1000, ETHER, 500, TARGET)
+        tied = Trade(3, TradeKind.REMOVE_LIQUIDITY, BORROWER, "V1", 500, TARGET, 2000, ETHER)
+        for trades in ([deposit, tied], [tied, deposit]):
+            assert DonationInflation().match(trades, BORROWER, DonationInflation.defaults) == []
+            assert _outcome(DonationInflation(), trades) == _outcome(ReferenceDonation(), trades)
